@@ -12,11 +12,16 @@
 module Explore = Dfd_check.Explore
 module Scenarios = Dfd_check.Scenarios
 
+(* Every scenario, the deliberately buggy ones first. *)
+let catalogue =
+  Scenarios.clev_buggy :: Scenarios.multiq_buggy :: Scenarios.lfdeque_buggy
+  :: Scenarios.park_buggy :: Scenarios.all
+
 let list_scenarios () =
   List.iter
     (fun s ->
       Printf.printf "%-16s %d threads  %s\n" s.Explore.name s.Explore.n_threads s.Explore.descr)
-    (Scenarios.clev_buggy :: Scenarios.multiq_buggy :: Scenarios.lfdeque_buggy :: Scenarios.all);
+    catalogue;
   0
 
 let replay_file path =
@@ -56,9 +61,7 @@ let run_check ~seed ~budget ~depth ~scenario ~replay ~replay_out ~list =
           | None ->
             Printf.eprintf "check: unknown scenario %s; known: %s\n" name
               (String.concat ", "
-                 (List.map
-                    (fun s -> s.Explore.name)
-                    (Scenarios.clev_buggy :: Scenarios.multiq_buggy :: Scenarios.lfdeque_buggy :: Scenarios.all)));
+                 (List.map (fun s -> s.Explore.name) catalogue));
             exit 2)
       in
       let failed = ref None in

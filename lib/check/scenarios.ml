@@ -763,6 +763,68 @@ let pool_crash_dfd =
     ~policy:(Pool.Dfdeques { quota = 32 })
     ~trigger:2
 
+(* The park/wake handshake on its own.  Thread 0 (worker 0) pushes one
+   task; thread 1 (worker 1) tries once to take work and, finding none,
+   makes the park decision — it would then sleep until signalled, which
+   the scenario records instead of blocking.  A parker that decided to
+   sleep while a task stays queued and no wake-up signal was ever sent is
+   a lost wake-up.  The policy is drawn per iteration, so the scan covers
+   both the Chase-Lev deques and the R-list members. *)
+let park_scenario ~name ~descr ~park_check =
+  {
+    Explore.name;
+    descr;
+    n_threads = 2;
+    approx_steps = 20;
+    prepare =
+      (fun rng ->
+        let policy =
+          if Prng.bool rng then Pool.Work_stealing else Pool.Dfdeques { quota = 4096 }
+        in
+        let pool = Pool.For_testing.create_detached ~workers:2 policy in
+        let runs = Atomic.make 0 in
+        let slept = ref false in
+        let body i =
+          Pool.For_testing.as_worker pool i (fun () ->
+              if i = 0 then Pool.For_testing.push pool 0 (fun () -> Atomic.incr runs)
+              else if not (Pool.For_testing.help pool 1) then
+                if park_check pool then slept := true
+                else begin
+                  Pool.For_testing.unpark pool;
+                  ignore (Pool.For_testing.help pool 1)
+                end)
+        in
+        let oracle () =
+          let queued = Pool.For_testing.live_tasks pool in
+          if !slept && queued > 0 && Pool.For_testing.wake_signals pool = 0 then
+            Error
+              (Printf.sprintf
+                 "lost wake-up: worker 1 parked with %d task(s) queued and no signal sent"
+                 queued)
+          else begin
+            Pool.For_testing.as_worker pool 0 (fun () ->
+                while Pool.For_testing.help pool 0 do
+                  ()
+                done);
+            if Atomic.get runs <> 1 then
+              Error (Printf.sprintf "pushed task ran %d times" (Atomic.get runs))
+            else Ok ()
+          end
+        in
+        (body, oracle));
+  }
+
+let park =
+  park_scenario ~name:"park"
+    ~descr:"native pool park/wake: announce-then-scan against publish-then-read"
+    ~park_check:Pool.For_testing.park_check
+
+(* The planted bug: the parker scans before it announces. *)
+let park_buggy =
+  park_scenario ~name:"park_buggy"
+    ~descr:"deliberately broken park (scan, then announce): explorer must find the lost wake-up"
+    ~park_check:Buggy_park.park_check
+
 (* ------------------------------------------------------------------ *)
 
 let all =
@@ -779,6 +841,7 @@ let all =
     pool_dfd;
     pool_crash_ws;
     pool_crash_dfd;
+    park;
   ]
 
 let buggy = clev_buggy
@@ -786,4 +849,4 @@ let buggy = clev_buggy
 let find name =
   List.find_opt
     (fun s -> s.Explore.name = name)
-    (clev_buggy :: multiq_buggy :: lfdeque_buggy :: all)
+    (clev_buggy :: multiq_buggy :: lfdeque_buggy :: park_buggy :: all)

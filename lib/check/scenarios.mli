@@ -70,6 +70,16 @@ val lfdeque_buggy : Explore.scenario
 (** Drives {!Buggy_lfdeque} (check-then-store steal commit); the explorer
     is expected to {e fail} this one.  Excluded from {!all}. *)
 
+val park : Explore.scenario
+(** The native pool's park/wake handshake: a pusher (publish, then read
+    the parked count) against a parker (announce, then scan); a parker
+    that decides to sleep while a task stays queued and no wake-up was
+    signalled is a lost wake-up. *)
+
+val park_buggy : Explore.scenario
+(** Drives {!Buggy_park} (scan, then announce); the explorer is expected
+    to {e fail} this one with a lost wake-up.  Excluded from {!all}. *)
+
 val buggy : Explore.scenario
 (** Alias for {!clev_buggy}. *)
 

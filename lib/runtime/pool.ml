@@ -68,11 +68,34 @@ type worker_state = {
   w_quarantined : bool;
 }
 
+(* Cache-line padding by allocation.  OCaml 5.1 has no
+   [Atomic.make_contended], and small blocks allocated back to back — or
+   promoted together into one size-class pool of the major heap — sit in
+   adjacent words, so two workers' hot cells would share a cache line
+   and every write by one would evict the other's.  [padded x] copies the
+   block [x] into a fresh block [pad_words] words longer than itself.
+   The extra trailing words are never read; they keep the next block's
+   leading fields at least two 64-byte lines away from [x]'s.  The copy
+   has [x]'s tag and fields, so every access through [x]'s type works
+   unchanged (the GC scans the padding as immediates; nothing compares
+   or marshals these blocks). *)
+let pad_words = 16
+
+let padded (x : 'a) : 'a =
+  let o = Obj.repr x in
+  let n = Obj.size o in
+  let b = Obj.new_block (Obj.tag o) (n + pad_words) in
+  for i = 0 to n - 1 do
+    Obj.set_field b i (Obj.field o i)
+  done;
+  Obj.obj b
+
 (* One record per worker, written only by that worker (thief-side events —
-   steals, failures — are charged to the thief).  Each record is its own
-   heap block, so workers do not false-share counter cache lines; reads
-   aggregate across workers and may be slightly stale, exactly the
-   contract {!val-counters} documents. *)
+   steals, failures — are charged to the thief).  Both the record and its
+   [c_sync] cell are {!padded}: a separate heap block alone does not stop
+   false sharing, since two workers' blocks are allocated (and promoted)
+   next to each other.  Reads aggregate across workers and may be
+   slightly stale, exactly the contract {!val-counters} documents. *)
 type wcounters = {
   mutable c_steals : int;
   mutable c_steal_failures : int;
@@ -89,16 +112,24 @@ type wcounters = {
           clock wedge detection compares against: an awaiting or stealing
           worker keeps ticking even when no task runs, while a wedged one
           goes flat.  Internal (not part of {!type-counters}). *)
+  mutable c_deques : int;
+      (** deques this worker created; numbers their ids without a
+          pool-wide counter. *)
+  mutable c_quota_left : int;
+      (** DFDeques: bytes left of the memory quota K since this worker's
+          last steal ({!alloc_hint} debits it); [max_int] under WS. *)
   c_sync : int ref;
       (** synchronization ops (atomic RMWs and publishing stores, CAS
           retries included) this worker executed on DFDeques scheduling
           paths — the Lfdeque/Multiq [?ops] cells all point here.  A ref
           rather than a mutable field so the structures can bump it
           directly; still single-writer (thief-side ops are charged to
-          the thief).  Aggregated by {!val-sync_ops} — deliberately not
-          mirrored into a registry counter on the hot path, which would
-          add an atomic RMW per operation just to count atomic RMWs; the
-          registry exposes it as a lazy probe instead. *)
+          the thief), and {!padded} into its own cache lines because
+          every DFDeques push and pop bumps it.  Aggregated by
+          {!val-sync_ops} — deliberately not mirrored into a registry
+          counter on the hot path, which would add an atomic RMW per
+          operation just to count atomic RMWs; the registry exposes it
+          as a lazy probe instead. *)
   c_rank_err : Stats.Histogram.t;
       (** rank error of this worker's successful steals; merged across
           workers by {!val-rank_error}.  Single-writer like the ints. *)
@@ -144,7 +175,6 @@ type t = {
   dfd_deque : dq Multiq.entry option array;
       (** each worker's owned deque, as its R-membership handle;
           owner-written.  The deque itself is [Multiq.value]. *)
-  quota_left : int array;  (** owner-written only. *)
   dfd_quota : int Atomic.t;
       (** the current memory threshold K.  Seeded from the policy and
           adjustable at runtime ({!set_quota}) so a supervisor can trade
@@ -153,18 +183,21 @@ type t = {
           (quota refill), so adjustment costs one atomic store and no
           locks. *)
   (* --- shared scheduling state -------------------------------------- *)
-  live_tasks : int Atomic.t;  (** tasks pushed but not yet taken. *)
   per_worker : wcounters array;
   idle_lock : Mutex.t;
   idle_cond : Condition.t;
   n_parked : int Atomic.t;
-      (** atomic (not merely under [idle_lock]): the parker's
-          [incr n_parked]/[read live_tasks] and the pusher's
-          [incr live_tasks]/[read n_parked] form a Dekker pair, so both
-          sides must be sequentially consistent for wake-ups to be
-          lossless. *)
+      (** workers that announced a park and have not left it.  Atomic
+          (not merely under [idle_lock]): the parker's [incr n_parked]
+          then scan for queued work, and the pusher's publish of the
+          deque's [bottom] then [read n_parked], form a Dekker pair, so
+          both sides must be sequentially consistent for wake-ups to be
+          lossless (DESIGN.md §10). *)
+  wake_signals : int Atomic.t;
+      (** signals sent to parked workers.  Its own block, not a mutable
+          field: the pool record's fields are read on every fork. *)
   shutting_down : bool Atomic.t;
-  mutable domains : unit Domain.t list;
+  mutable domains : Domain_cache.handle list;
   rngs : Prng.t array;  (** per worker; only touched by its own worker. *)
   tracer : Tracer.t;
   trace_lock : Mutex.t;
@@ -176,7 +209,6 @@ type t = {
       (** always-on crash-forensics ring ({!Flight.disabled} by default);
           only rare events are recorded, so the hot path stays clean. *)
   t0 : float;  (** pool creation wall clock; event stamps are µs since. *)
-  next_did : int Atomic.t;
   last_active_us : int array;
       (** per worker, tracer-only stamp of its last task (steal latency). *)
   deadline : float option Atomic.t;
@@ -260,8 +292,12 @@ let backoff_wait rng n =
   done
 
 (* After this many consecutive empty-handed rounds with no queued work at
-   all, a worker parks on [idle_cond] instead of spinning. *)
-let park_threshold = 8
+   all, a worker parks on [idle_cond] instead of spinning.  With the
+   capped backoff that is about 2,300 [cpu_relax]es, roughly 100 us on a
+   2-vCPU Xeon VM: longer than a futex wake-up takes there.  At 8 rounds
+   (about 10 us) a p=2 [fib 15] run kept parking and waking its worker
+   mid-run and took ~280 us instead of ~70 us. *)
+let park_threshold = 24
 
 (* ------------------------------------------------------------------ *)
 (* Tracing plumbing (all behind [Tracer.enabled]; emits serialised by   *)
@@ -346,37 +382,68 @@ let injected_steal_failure pool w =
 (* Idle parking                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Tasks queued anywhere: pushed (or requeued) but not yet taken.  A scan,
+   not a counter — a pool-wide count bumped on every push and take put
+   one contended cache line on the fork path.  Reads the orphan stack,
+   then every WS deque or every R member, each length being the deque's
+   published [bottom - top]; allocation-free (closed closures, a plain
+   fold over the Multiq shards) so an idle worker can run it on every
+   miss.  Racy while the pool runs; exact once it is quiescent. *)
+let queued pool =
+  let n = List.length (Atomic.get pool.orphans) in
+  match pool.policy with
+  | Work_stealing -> Array.fold_left (fun n d -> n + Clev.length d) n pool.ws_deques
+  | Dfdeques _ -> Multiq.fold pool.r (fun n e -> n + Lfdeque.length (Multiq.value e).tasks) n
+
 (* Wake at most one parked worker.  The pusher has already published the
-   task and incremented [live_tasks] (both SC), so either the parker's
-   re-check sees the work, or this read sees the parker — a wake-up can
-   never be lost between the two.  Signalling one worker instead of
-   broadcasting avoids the thundering herd the old single [Condition]
-   produced: p-1 sleepers stampeding the lock for one task. *)
+   task (the deque's [bottom] store, or the orphan-stack CAS; both SC), so
+   either the parker's scan sees the work, or this read sees the parker's
+   announcement — a wake-up can never be lost between the two.
+   Signalling one worker instead of broadcasting avoids the thundering
+   herd the old single [Condition] produced: p-1 sleepers stampeding the
+   lock for one task. *)
 let signal_work pool =
   if Atomic.get pool.n_parked > 0 then begin
     Mutex.lock pool.idle_lock;
+    Atomic.incr pool.wake_signals;
     Condition.signal pool.idle_cond;
     Mutex.unlock pool.idle_lock
   end
 
+(* Nothing for a parked worker to wake for.  A pending crash certificate
+   also ends the nap: the crasher broadcasts, and the woken worker must
+   scan-and-quarantine to requeue the task the dead worker held. *)
+let nothing_to_do pool =
+  queued pool = 0
+  && (not (Atomic.get pool.shutting_down))
+  && Atomic.get pool.crashed_pending = 0
+
+(* The parker's half of the Dekker pair: announce, then scan.  [true]
+   means sleeping is safe: a pusher whose publish this scan missed comes
+   after the announcement in the SC order, so its read of [n_parked] sees
+   it and it signals.  The announcement stands until the caller
+   decrements [n_parked]. *)
+let park_check pool =
+  Atomic.incr pool.n_parked;
+  Schedpoint.point Schedpoint.pool_park_scan;
+  nothing_to_do pool
+
+(* Sleep only after [park_check] said so, and re-scan under [idle_lock]
+   before every wait: the signal a pusher sends needs that lock, so it
+   cannot fall between our last scan and our wait.  The yield point is in
+   [park_check], outside the critical section (DESIGN.md §11). *)
 let park pool w =
   let c = pool.per_worker.(w) in
   c.c_parks <- c.c_parks + 1;
   Registry.Counter.incr pool.obs.o_parks;
-  Mutex.lock pool.idle_lock;
-  Atomic.incr pool.n_parked;
-  (* a pending crash certificate also ends the nap: the crasher
-     broadcasts, and the woken worker must scan-and-quarantine (the
-     requeued task is not yet in [live_tasks]) *)
-  while
-    Atomic.get pool.live_tasks = 0
-    && (not (Atomic.get pool.shutting_down))
-    && Atomic.get pool.crashed_pending = 0
-  do
-    Condition.wait pool.idle_cond pool.idle_lock
-  done;
-  Atomic.decr pool.n_parked;
-  Mutex.unlock pool.idle_lock
+  if park_check pool then begin
+    Mutex.lock pool.idle_lock;
+    while nothing_to_do pool do
+      Condition.wait pool.idle_cond pool.idle_lock
+    done;
+    Mutex.unlock pool.idle_lock
+  end;
+  Atomic.decr pool.n_parked
 
 (* ------------------------------------------------------------------ *)
 (* DFDeques: lock-free R membership (Multiq CAS paths) and CAS-only     *)
@@ -387,12 +454,16 @@ let park pool w =
    call on its behalf. *)
 let sync_cell pool w = pool.per_worker.(w).c_sync
 
-let new_dq pool ~proc ~owner =
+(* A fresh deque owned by worker [proc].  Its id is unique without a
+   pool-wide counter: worker [proc]'s k-th deque is [k * n_workers + proc]. *)
+let new_dq pool ~proc =
   let born_us = if Tracer.enabled pool.tracer then now_us pool else 0 in
+  let c = pool.per_worker.(proc) in
+  c.c_deques <- c.c_deques + 1;
   let d =
     {
-      tasks = Lfdeque.create ?owner ();
-      did = Atomic.fetch_and_add pool.next_did 1;
+      tasks = Lfdeque.create ~owner:proc ();
+      did = (c.c_deques * pool.n_workers) + proc;
       born_us;
     }
   in
@@ -431,7 +502,7 @@ let dfd_own_deque pool w =
   match pool.dfd_deque.(w) with
   | Some e -> Multiq.value e
   | None ->
-    let d = new_dq pool ~proc:w ~owner:(Some w) in
+    let d = new_dq pool ~proc:w in
     pool.dfd_deque.(w) <- Some (Multiq.insert_front ~ops:(sync_cell pool w) pool.r d);
     note_r_insert pool w;
     d
@@ -475,7 +546,7 @@ let note_rank_error pool w e =
    concurrently still anchors the position it held), and the victim is
    reaped if the steal emptied an unowned deque. *)
 let dfd_adopt_after pool w victim_e =
-  let d = new_dq pool ~proc:w ~owner:(Some w) in
+  let d = new_dq pool ~proc:w in
   let e = Multiq.insert_after ~ops:(sync_cell pool w) pool.r victim_e d in
   note_r_insert pool w;
   reap_if_dead pool ~proc:w victim_e;
@@ -515,7 +586,7 @@ let dfd_steal pool w =
          dfd_adopt_after pool w victim_e;
          (* refill from the current K: a runtime quota adjustment takes
             effect here, at the worker's next steal *)
-         pool.quota_left.(w) <- Atomic.get pool.dfd_quota;
+         pool.per_worker.(w).c_quota_left <- Atomic.get pool.dfd_quota;
          Some task)
   end
 
@@ -553,7 +624,7 @@ let rec lineage_add pool entry =
    read by any peer also publishes the task and every plain write this
    worker made before it.  The broadcast wakes parked peers — the
    certificate must be noticed even on an otherwise idle pool, and the
-   requeued task is not yet counted in [live_tasks]. *)
+   held task is in no deque until a peer requeues it. *)
 let worker_crash pool w =
   flight_emit pool ~proc:w (Event.Fault_injected { fault = "worker_crash" });
   if Tracer.enabled pool.tracer then
@@ -606,7 +677,6 @@ let quarantine_as pool ~proc ~cause w =
     let held = Atomic.exchange pool.cur_task.(w) None in
     (match held with
      | Some task ->
-       Atomic.incr pool.live_tasks;
        orphan_push pool task;
        Registry.Counter.incr pool.obs.o_requeues;
        flight_emit pool ~proc (Event.Task_requeued { worker = w });
@@ -653,21 +723,21 @@ let scan_crashed pool ~proc =
 (* Obtaining work                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The pusher's half of the park/wake Dekker pair: the deque push ends in
+   the SC store of [bottom] that publishes the task, and only then does
+   [signal_work] read [n_parked].  No pool-wide read-modify-write. *)
 let push_local pool w task =
   Schedpoint.point Schedpoint.pool_push;
-  (* [live_tasks] rises before the task is visible, so a worker that sees
-     zero can safely park: any task not yet pushed will signal it. *)
-  Atomic.incr pool.live_tasks;
   (match pool.policy with
    | Work_stealing -> Clev.push pool.ws_deques.(w) task
    | Dfdeques _ ->
      let d = dfd_own_deque pool w in
      Lfdeque.push ~ops:(sync_cell pool w) d.tasks task);
+  Schedpoint.point Schedpoint.pool_push_signal;
   signal_work pool
 
 (* One attempt to obtain a task; lock-free on every path — WS and DFD
-   both go through CAS-only deques.  Does not touch [live_tasks];
-   callers do. *)
+   both go through CAS-only deques. *)
 let try_get pool w =
   Schedpoint.point Schedpoint.pool_get;
   (* activity tick: single-writer; the clock wedge detection reads *)
@@ -707,19 +777,18 @@ let try_get pool w =
         end)
   | Dfdeques _ -> (
       match pool.dfd_deque.(w) with
-      | Some _ when pool.quota_left.(w) <= 0 ->
+      | Some _ when c0.c_quota_left <= 0 ->
         (* memory quota exhausted: abandon the deque and steal *)
-        let c = pool.per_worker.(w) in
-        c.c_quota_giveups <- c.c_quota_giveups + 1;
+        c0.c_quota_giveups <- c0.c_quota_giveups + 1;
         Registry.Counter.incr pool.obs.o_quota_giveups;
         (if Flight.enabled pool.flight then
            let quota = Atomic.get pool.dfd_quota in
            flight_emit pool ~proc:w
-             (Event.Quota_exhausted { used = quota - pool.quota_left.(w); quota }));
+             (Event.Quota_exhausted { used = quota - c0.c_quota_left; quota }));
         if Tracer.enabled pool.tracer then begin
           let quota = Atomic.get pool.dfd_quota in
           emit_locked pool ~proc:w
-            (Event.Quota_exhausted { used = quota - pool.quota_left.(w); quota })
+            (Event.Quota_exhausted { used = quota - c0.c_quota_left; quota })
         end;
         dfd_abandon pool w;
         dfd_steal pool w
@@ -746,7 +815,6 @@ let run_task t = t ()
 let help_once ?(top = false) pool w =
   match try_get pool w with
   | Some t ->
-    Atomic.decr pool.live_tasks;
     (* publish the held task before anything can kill us: a quarantiner
        that reads our certificate is guaranteed to see it *)
     Atomic.set pool.cur_task.(w) (Some t);
@@ -806,10 +874,7 @@ let try_pop_exact pool w task =
               false
             | None -> false))
   in
-  if got then begin
-    Atomic.decr pool.live_tasks;
-    note_task_start pool w
-  end;
+  if got then note_task_start pool w;
   got
 
 (* ------------------------------------------------------------------ *)
@@ -818,9 +883,10 @@ let try_pop_exact pool w task =
 
 type 'a outcome = Pending | Done of 'a | Failed of exn
 
-type 'a promise = { mutable state : 'a outcome Atomic.t }
+(* The promise is the outcome cell itself: one block per fork. *)
+type 'a promise = 'a outcome Atomic.t
 
-let promise () = { state = Atomic.make Pending }
+let promise () : 'a promise = Atomic.make Pending
 
 let fulfill pool pr f =
   let v =
@@ -835,11 +901,11 @@ let fulfill pool pr f =
       Failed e
   in
   Schedpoint.point Schedpoint.pool_fulfill;
-  Atomic.set pr.state v
+  Atomic.set pr v
 
 let await pool w pr =
   let rec go misses =
-    match Atomic.get pr.state with
+    match Atomic.get pr with
     | Done v -> v
     | Failed e -> raise e
     | Pending ->
@@ -864,7 +930,8 @@ let await pool w pr =
 (* ------------------------------------------------------------------ *)
 
 let worker_loop pool w =
-  Domain.DLS.get worker_key := Some (w, pool);
+  let ctx = Domain.DLS.get worker_key in
+  ctx := Some (w, pool);
   let misses = ref 0 in
   let rec loop () =
     if Atomic.get pool.shutting_down then ()
@@ -873,7 +940,7 @@ let worker_loop pool w =
       else begin
         incr misses;
         if Atomic.get pool.crashed_pending > 0 then ignore (scan_crashed pool ~proc:w);
-        if Atomic.get pool.live_tasks = 0 then begin
+        if queued pool = 0 then begin
           (* nothing queued anywhere: bounded spin, then park until a
              push signals — no thundering herd, one signal wakes one *)
           if !misses >= park_threshold then begin
@@ -891,8 +958,10 @@ let worker_loop pool w =
   in
   (* Worker_stop: this domain crashed (injected) or was quarantined out
      from under a wedge — unwind quietly; the quarantine protocol has
-     already recovered (or will recover) everything it held *)
-  try loop () with Worker_stop -> ()
+     already recovered (or will recover) everything it held.  The domain
+     goes back to {!Domain_cache}: forget the pool so the next job on it
+     starts clean and this pool can be collected. *)
+  Fun.protect ~finally:(fun () -> ctx := None) (fun () -> try loop () with Worker_stop -> ())
 
 (* Register the pool's write-side instruments (hot-path counters) and
    read-side probes (gauges over state the pool already maintains).
@@ -922,7 +991,9 @@ let make_obs registry =
 
 let register_probes registry pool =
   let g name help f = Registry.probe registry ~kind:`Gauge ~help name f in
-  g "dfd_pool_live_tasks" "Tasks pushed but not yet taken." (fun () -> Atomic.get pool.live_tasks);
+  g "dfd_pool_live_tasks"
+    "Tasks queued in the deques and the orphan stack, not yet taken (a scan; racy while running)."
+    (fun () -> queued pool);
   g "dfd_pool_parked_workers" "Workers currently parked on the idle condition." (fun () ->
       Atomic.get pool.n_parked);
   g "dfd_pool_workers" "Worker slots (domains + caller)." (fun () -> pool.n_workers);
@@ -953,33 +1024,34 @@ let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_b
          still sees a meaningful fraction of R *)
       r = Multiq.create ~shards:(2 * n_workers) ();
       dfd_deque = Array.make n_workers None;
-      quota_left =
-        Array.make n_workers
-          (match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int);
       dfd_quota =
         Atomic.make
           (match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int);
-      live_tasks = Atomic.make 0;
       per_worker =
         Array.init n_workers (fun _ ->
-            {
-              c_steals = 0;
-              c_steal_failures = 0;
-              c_local_pops = 0;
-              c_quota_giveups = 0;
-              c_tasks_run = 0;
-              c_task_exns = 0;
-              c_alloc_bytes = 0;
-              c_parks = 0;
-              c_r_inserts = 0;
-              c_r_removes = 0;
-              c_ticks = 0;
-              c_sync = ref 0;
-              c_rank_err = Stats.Histogram.create ();
-            });
+            padded
+              {
+                c_steals = 0;
+                c_steal_failures = 0;
+                c_local_pops = 0;
+                c_quota_giveups = 0;
+                c_tasks_run = 0;
+                c_task_exns = 0;
+                c_alloc_bytes = 0;
+                c_parks = 0;
+                c_r_inserts = 0;
+                c_r_removes = 0;
+                c_ticks = 0;
+                c_deques = 0;
+                c_quota_left =
+                  (match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int);
+                c_sync = padded (ref 0);
+                c_rank_err = Stats.Histogram.create ();
+              });
       idle_lock = Mutex.create ();
       idle_cond = Condition.create ();
       n_parked = Atomic.make 0;
+      wake_signals = Atomic.make 0;
       shutting_down = Atomic.make false;
       domains = [];
       rngs = Array.init n_workers (fun i -> Prng.create (1000 + i));
@@ -989,7 +1061,6 @@ let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_b
       obs = make_obs registry;
       flight;
       t0 = Unix.gettimeofday ();
-      next_did = Atomic.make n_workers;
       last_active_us = Array.make n_workers 0;
       deadline = Atomic.make None;
       cancelled = Atomic.make false;
@@ -1021,7 +1092,7 @@ let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry 
     | None -> max 0 (Domain.recommended_domain_count () - 1)
   in
   let pool = make ?registry ?flight ?respawn_budget ~n_workers:(extra + 1) ~tracer ~fault policy in
-  pool.domains <- List.init extra (fun i -> Domain.spawn (fun () -> worker_loop pool (i + 1)));
+  pool.domains <- List.init extra (fun i -> Domain_cache.spawn (fun () -> worker_loop pool (i + 1)));
   pool
 
 (* After cancellation the deques may still hold queued tasks whose parents
@@ -1029,9 +1100,9 @@ let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry 
    cheap leftovers) so the pool is clean for the next [run]. *)
 let drain pool =
   let misses = ref 0 in
-  (* a pending crash certificate hides a held task that [live_tasks] no
-     longer counts: quarantine first so nothing is stranded *)
-  while Atomic.get pool.live_tasks > 0 || Atomic.get pool.crashed_pending > 0 do
+  (* a pending crash certificate hides a held task that no deque holds:
+     quarantine first so nothing is stranded *)
+  while queued pool > 0 || Atomic.get pool.crashed_pending > 0 do
     if Atomic.get pool.crashed_pending > 0 then ignore (scan_crashed pool ~proc:0);
     if help_once pool 0 then misses := 0
     else begin
@@ -1086,7 +1157,7 @@ let fork_join fa fb =
     if try_pop_exact pool w task then begin
       (* fast path: nobody stole it; run inline *)
       run_task task;
-      match Atomic.get pr.state with
+      match Atomic.get pr with
       | Done v -> v
       | Failed e -> raise e
       | Pending -> assert false
@@ -1124,7 +1195,7 @@ let alloc_hint n =
       match pool.policy with
       | Dfdeques _ ->
         (* owner-only slot: no lock needed *)
-        pool.quota_left.(w) <- pool.quota_left.(w) - n
+        c.c_quota_left <- c.c_quota_left - n
       | Work_stealing -> ())
   | None ->
     (* aligned with every other pool operation: a hint from outside [run]
@@ -1307,8 +1378,9 @@ let snapshot pool =
      | Work_stealing -> "WS"
      | Dfdeques { quota } -> Printf.sprintf "DFDeques(K=%d)" quota)
     pool.n_workers;
-  pf "  live_tasks=%d parked=%d shutting_down=%b cancelled=%b deadline=%s\n"
-    (Atomic.get pool.live_tasks) (Atomic.get pool.n_parked)
+  pf "  live_tasks=%d parked=%d wake_signals=%d shutting_down=%b cancelled=%b deadline=%s\n"
+    (queued pool) (Atomic.get pool.n_parked)
+    (Atomic.get pool.wake_signals)
     (Atomic.get pool.shutting_down) (Atomic.get pool.cancelled)
     (match Atomic.get pool.deadline with
      | None -> "none"
@@ -1354,38 +1426,40 @@ let snapshot pool =
             (Multiq.shard_of e) (Lfdeque.length d.tasks))
        ms;
      pf "  K=%d\n" (Atomic.get pool.dfd_quota);
-     Array.iteri (fun i q -> pf "  quota_left[worker %d]=%d\n" i q) pool.quota_left);
+     Array.iteri (fun i c -> pf "  quota_left[worker %d]=%d\n" i c.c_quota_left) pool.per_worker);
   Buffer.contents b
-
-let shutdown pool =
-  Atomic.set pool.shutting_down true;
-  Mutex.lock pool.idle_lock;
-  Condition.broadcast pool.idle_cond;
-  Mutex.unlock pool.idle_lock;
-  List.iter Domain.join pool.domains;
-  pool.domains <- []
 
 (* Forceful teardown for a supervisor that has declared the pool wedged:
    signal shutdown and walk away without joining, so the supervisor can
-   respawn immediately.  Idle and parked workers exit promptly; a worker
-   genuinely stuck inside a user task is abandoned (its domain leaks until
-   the task returns, at which point the shutdown flag stops it).  Calling
-   [shutdown] later reaps the domains once they have exited. *)
+   respawn immediately.  Idle and parked workers exit promptly and their
+   domains return to {!Domain_cache}; a worker genuinely stuck inside a
+   user task is abandoned (its domain is lost to the cache until the task
+   returns, at which point the shutdown flag stops it).  Calling
+   [shutdown] later reaps the workers once they have exited. *)
 let kill pool =
   Atomic.set pool.shutting_down true;
   Mutex.lock pool.idle_lock;
   Condition.broadcast pool.idle_cond;
   Mutex.unlock pool.idle_lock
 
-(* Spawn a fresh domain into a quarantined slot, under the respawn budget.
+(* [kill], then wait for every worker loop to return: their domains are
+   back in {!Domain_cache}, waiting for the next pool. *)
+let shutdown pool =
+  kill pool;
+  List.iter Domain_cache.join pool.domains;
+  pool.domains <- []
+
+(* Start a fresh worker in a quarantined slot, under the respawn budget.
    Cold path: [respawn_lock] serialises the budget claim, the slot reset
    and the spawn, so two supervisors cannot double-fill one slot or spend
    one budget unit twice.  Resetting the slot's owner-only state is sound
    because quarantine certifiably fenced the previous incarnation (its
    generation was bumped; crashed domains have unwound, wedged ones only
    spin) — and quarantine already drained [cur_task], so no task can be
-   hiding in the slot we reset.  The dead domain stays on [domains] and
-   is reaped by the next [shutdown] join, exactly like a live one. *)
+   hiding in the slot we reset.  The new worker runs on a cached domain
+   when one is idle (the dead incarnation's own domain can be one).  The
+   dead incarnation stays on [domains] and is reaped by the next
+   [shutdown] join, exactly like a live one. *)
 let respawn_worker pool w =
   if w <= 0 || w >= pool.n_workers then invalid_arg "Pool.respawn_worker: bad worker";
   Mutex.lock pool.respawn_lock;
@@ -1401,7 +1475,7 @@ let respawn_worker pool w =
          assert (Option.is_none (Atomic.get pool.cur_task.(w)));
          Atomic.set pool.stopped.(w) false;
          Atomic.set pool.wedged.(w) false;
-         pool.quota_left.(w) <- Atomic.get pool.dfd_quota;
+         pool.per_worker.(w).c_quota_left <- Atomic.get pool.dfd_quota;
          pool.dfd_deque.(w) <- None;
          Atomic.incr pool.wgen.(w);
          (* flags last: the slot is fully rebuilt before it reads as live *)
@@ -1412,7 +1486,7 @@ let respawn_worker pool w =
          flight_emit pool ~proc:w (Event.Worker_respawned { worker = w });
          if Tracer.enabled pool.tracer then
            emit_locked pool ~proc:w (Event.Worker_respawned { worker = w });
-         pool.domains <- Domain.spawn (fun () -> worker_loop pool w) :: pool.domains;
+         pool.domains <- Domain_cache.spawn (fun () -> worker_loop pool w) :: pool.domains;
          true
        end
        else false)
@@ -1445,7 +1519,17 @@ module For_testing = struct
 
   let scan pool ~proc = scan_crashed pool ~proc
 
-  let live_tasks pool = Atomic.get pool.live_tasks
+  let live_tasks = queued
+
+  let push = push_local
+
+  let park_check = park_check
+
+  let announce_park pool = Atomic.incr pool.n_parked
+
+  let unpark pool = Atomic.decr pool.n_parked
+
+  let wake_signals pool = Atomic.get pool.wake_signals
 end
 
 let parallel_reduce ~zero ~op ~lo ~hi f =

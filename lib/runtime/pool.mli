@@ -41,8 +41,13 @@
 
     Idle workers spin briefly with jittered exponential backoff, then park
     on a condition variable; each push wakes at most one parked worker, so
-    wake-ups do not thundering-herd.  Scheduling counters are kept in
-    per-worker records and aggregated only when read.
+    wake-ups do not thundering-herd.  There is no pool-wide task count: a
+    parker announces itself and then scans the deques for queued work,
+    while a pusher publishes its task and then checks for parked workers
+    (DESIGN.md §10), so a fork performs no read-modify-write on a
+    pool-wide location.  Scheduling counters are kept in per-worker
+    records, padded to their own cache lines, and aggregated only when
+    read.
     [bench/pool_scale.exe] tracks the throughput/scalability trajectory of
     this layer (it emits [BENCH_pool.json]). *)
 
@@ -83,7 +88,9 @@ val create :
   t
 (** [create ~domains policy] starts a pool with [domains] extra worker
     domains (default: [Domain.recommended_domain_count () - 1]).  The
-    caller participates as a worker while inside {!run}.
+    caller participates as a worker while inside {!run}.  The worker
+    domains come from {!Domain_cache}: idle domains a previous pool gave
+    back are reused, and only the shortfall is spawned.
 
     [tracer] (default {!Dfd_trace.Tracer.disabled}) receives structured
     scheduler events — steal attempts/successes, quota exhaustions, deque
@@ -300,8 +307,9 @@ val quarantine : ?cause:string -> t -> int -> bool
     or an out-of-range worker. *)
 
 val respawn_worker : t -> int -> bool
-(** Spawn a fresh domain into a quarantined slot, spending one unit of
-    the [respawn_budget].  Returns [false] (and does nothing) if the
+(** Start a fresh worker in a quarantined slot, spending one unit of the
+    [respawn_budget].  Its domain comes from {!Domain_cache} (the dead
+    worker's own domain, once it has unwound, is one candidate).  Returns [false] (and does nothing) if the
     slot is not quarantined, the budget is exhausted, or the pool is
     shutting down.  Serialised internally; safe to call from any
     thread.  Raises [Invalid_argument] for slot 0 or out-of-range. *)
@@ -347,16 +355,19 @@ val snapshot : t -> string
     paths. *)
 
 val shutdown : t -> unit
-(** Stop the worker domains.  The pool must be idle. *)
+(** Stop the workers and wait until every worker loop has returned.
+    Their domains go back to {!Domain_cache} for the next pool instead
+    of terminating.  The pool must be idle. *)
 
 val kill : t -> unit
 (** Forceful teardown for a supervisor that has declared the pool wedged
     (e.g. a task looping forever without touching the pool, beyond the
     reach of cooperative cancellation): signal shutdown and return
-    {e without} joining the worker domains, so the caller can respawn a
-    fresh pool immediately.  Idle and parked workers exit promptly; a
-    genuinely stuck worker is abandoned until its task returns.  Call
-    {!shutdown} later to reap the domains once they have exited. *)
+    {e without} waiting for the workers, so the caller can respawn a
+    fresh pool immediately.  Idle and parked workers exit promptly and
+    their domains return to {!Domain_cache}; a genuinely stuck worker
+    keeps its domain until its task returns.  Call {!shutdown} later to
+    wait for every worker once they have exited. *)
 
 (** Hooks for the systematic concurrency checker
     ({!module:Dfd_check.Explore}) — {b not} part of the scheduling API.
@@ -389,6 +400,29 @@ module For_testing : sig
       won. *)
 
   val live_tasks : t -> int
-  (** Tasks pushed but not yet taken (0 once a computation is quiescent —
-      the checker's leak oracle). *)
+  (** Tasks queued in the deques and the orphan stack — pushed or
+      requeued but not yet taken (0 once a computation is quiescent — the
+      checker's leak oracle).  A scan; it does not allocate. *)
+
+  val push : t -> int -> (unit -> unit) -> unit
+  (** [push pool w task]: worker [w] pushes a raw task onto its own deque
+      and wakes a parked worker if there is one — the pusher's half of
+      the park/wake handshake, as every fork performs it. *)
+
+  val park_check : t -> bool
+  (** The parker's half of the park/wake handshake without the sleep:
+      announce (increment the parked count), then scan for queued work.
+      [true] when a real park would now block.  The announcement stands
+      until {!unpark}. *)
+
+  val announce_park : t -> unit
+  (** The announcement step of {!park_check} alone, for checker variants
+      that reorder the handshake. *)
+
+  val unpark : t -> unit
+  (** Withdraw one announcement made by {!park_check} or
+      {!announce_park}. *)
+
+  val wake_signals : t -> int
+  (** Wake-up signals sent to parked workers so far. *)
 end

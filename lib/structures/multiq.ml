@@ -190,15 +190,23 @@ let sample t i j =
   | None, h | h, None -> h
   | Some a, Some b -> Some (if compare_entries a b <= 0 then a else b)
 
-let fold_live t f acc =
-  Array.fold_left
-    (fun acc cell ->
-       Array.fold_left (fun acc e -> if is_live e then f acc e else acc) acc (Atomic.get cell))
-    acc t.shards
+(* Plain loops rather than nested [Array.fold_left]s: the inner closure
+   would be allocated once per shard, and the pool's idle scan folds R on
+   every park decision, which must not allocate. *)
+let fold t f acc =
+  let acc = ref acc in
+  for k = 0 to t.n_shards - 1 do
+    let arr = Atomic.get t.shards.(k) in
+    for i = 0 to Array.length arr - 1 do
+      let e = arr.(i) in
+      if is_live e then acc := f !acc e
+    done
+  done;
+  !acc
 
-let rank t e = fold_live t (fun n m -> if compare_entries m e < 0 then n + 1 else n) 0
+let rank t e = fold t (fun n m -> if compare_entries m e < 0 then n + 1 else n) 0
 
-let members t = List.sort compare_entries (fold_live t (fun acc e -> e :: acc) [])
+let members t = List.sort compare_entries (fold t (fun acc e -> e :: acc) [])
 
 let members_of_shard t k =
   List.filter is_live (Array.to_list (Atomic.get t.shards.(k mod t.n_shards)))

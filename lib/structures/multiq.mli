@@ -100,6 +100,12 @@ val rank : 'a t -> 'a entry -> int
     over the shard arrays (lock-free, approximate under concurrent
     churn); observability, not a hot-path primitive. *)
 
+val fold : 'a t -> ('b -> 'a entry -> 'b) -> 'b -> 'b
+(** [fold t f acc] folds [f] over the live entries, shard by shard (not
+    in {!compare_entries} order).  Lock-free, approximate while
+    membership churns, and allocation-free apart from what [f]
+    allocates — the pool's idle scan relies on that. *)
+
 val members : 'a t -> 'a entry list
 (** All live entries, sorted by {!compare_entries}.  Lock-free snapshot;
     approximate while membership churns. *)

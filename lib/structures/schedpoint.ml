@@ -86,6 +86,10 @@ let pool_orphan_push = 30
 
 let pool_orphan_pop = 31
 
+let pool_push_signal = 32
+
+let pool_park_scan = 33
+
 let names =
   [|
     "start";
@@ -120,6 +124,8 @@ let names =
     "pool_quarantine";
     "pool_orphan_push";
     "pool_orphan_pop";
+    "pool_push_signal";
+    "pool_park_scan";
   |]
 
 let name id = if id >= 0 && id < Array.length names then names.(id) else Printf.sprintf "p%d" id

@@ -113,6 +113,16 @@ val pool_orphan_push : int
 val pool_orphan_pop : int
 (** Pool orphan take: inside the Treiber-stack pop CAS window. *)
 
+val pool_push_signal : int
+(** Pool push: between publishing the pushed task (the deque's [bottom]
+    store) and reading the parked-worker count — the pusher's half of
+    the park/wake Dekker pair. *)
+
+val pool_park_scan : int
+(** Pool park: between the parker announcing itself (the [n_parked]
+    increment) and its scan for queued work — the parker's half of the
+    park/wake Dekker pair. *)
+
 val name : int -> string
 (** Human-readable name of a point id. *)
 

@@ -141,6 +141,37 @@ let test_lfdeque_buggy_caught () =
     checkb "serial fallback schedule passes" true
       (Explore.replay Scenarios.lfdeque_buggy serial = None)
 
+(* The planted lost wake-up (park decision that scans before it
+   announces): found, shrunk, reproducible through a replay file; the
+   serial schedule (pusher first, then the parker, which finds the task)
+   passes. *)
+let park_buggy_seed = 5
+
+let test_park_buggy_caught () =
+  let r = Explore.run ~seed:park_buggy_seed Scenarios.park_buggy in
+  match r.Explore.r_failure with
+  | None -> Alcotest.fail "explorer missed the scan-then-announce lost wake-up"
+  | Some f ->
+    checkb "shrunk" true f.Explore.f_shrunk;
+    checkb "minimal trace nonempty" true (f.Explore.f_choices <> []);
+    checkb "minimal trace short" true (List.length f.Explore.f_choices <= 16);
+    checkb "lost wake-up is the reason" true
+      (String.length f.Explore.f_reason >= 12
+       && String.sub f.Explore.f_reason 0 12 = "lost wake-up");
+    checkb "window point on the trace" true (List.mem "pool_park_scan" f.Explore.f_points);
+    let path = Filename.temp_file "replay_park" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Explore.write_replay path f;
+        let f' = Explore.read_replay path in
+        checkb "replay file roundtrips" true (f = f');
+        checkb "replay from file reproduces" true
+          (Explore.replay Scenarios.park_buggy f' <> None));
+    let serial = { f with Explore.f_choices = []; f_points = [] } in
+    checkb "serial fallback schedule passes" true
+      (Explore.replay Scenarios.park_buggy serial = None)
+
 let test_correct_scenarios_pass () =
   List.iter
     (fun sc ->
@@ -175,7 +206,7 @@ let registered_points =
   go 0
 
 let test_point_ids_distinct () =
-  checkb "all known ids registered" true (registered_points >= 32);
+  checkb "all known ids registered" true (registered_points >= 34);
   let names = List.init registered_points Schedpoint.name in
   checki "names pairwise distinct" registered_points
     (List.length (List.sort_uniq compare names));
@@ -282,6 +313,10 @@ let test_points_hit () =
           checki "handshake fork_join result" 3 (a + b));
       Atomic.set finished true;
       Domain.join helper;
+      (* park/wake handshake: the pusher's window is on every fork above;
+         the parker's is in the park decision *)
+      ignore (Pool.For_testing.park_check pool);
+      Pool.For_testing.unpark pool;
       (* crash-domain points: worker 1's one-shot injected crash on its
          first take ([pool_crash_flag]), the quarantine that recovers the
          held task ([pool_quarantine], [pool_orphan_push]) and worker 0's
@@ -407,6 +442,8 @@ let () =
             test_multiq_buggy_caught;
           Alcotest.test_case "lfdeque steal-commit race caught and shrunk" `Quick
             test_lfdeque_buggy_caught;
+          Alcotest.test_case "park lost wake-up caught and shrunk" `Quick
+            test_park_buggy_caught;
           Alcotest.test_case "correct scenarios pass" `Quick test_correct_scenarios_pass;
         ] );
       ( "schedpoint coverage",

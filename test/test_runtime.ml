@@ -1,8 +1,8 @@
 (* Tests for the real Domains-based fork-join pool: correctness of results
    under both deque disciplines, exception propagation, the quota
-   mechanism, and determinism-independent invariants.  (This container has
-   one core, so these are correctness tests, not speedup tests — the pool
-   still runs real concurrent domains.) *)
+   mechanism, and determinism-independent invariants.  These are
+   correctness tests, not speedup tests — timings live in perfbench/ —
+   but the pool runs real concurrent domains. *)
 
 module Pool = Dfd_runtime.Pool
 module Watchdog = Dfd_fault.Watchdog
@@ -471,6 +471,138 @@ let test_snapshot_mentions_state () =
            checkb (name ^ " snapshot has live state") true (has "live_tasks=0")))
     policies
 
+(* ------------------------------------------------------------------ *)
+(* Worker domains, the domain cache and park/wake                      *)
+(* ------------------------------------------------------------------ *)
+
+module Domain_cache = Dfd_runtime.Domain_cache
+
+let major_heap_words () =
+  Gc.full_major ();
+  (Gc.quick_stat ()).Gc.heap_words
+
+(* Pool churn: every create takes its worker domains from the cache and
+   every shutdown gives them back, so no renewal after the warm-up spawns
+   a domain and the major heap stays flat.  (Spawning and joining fresh
+   domains leaves exited domains' heap pools behind on OCaml 5.1.) *)
+let test_pool_churn_heap_flat () =
+  let cycle () =
+    let pool = Pool.create ~domains:1 Pool.Work_stealing in
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () -> checki "churn fib" 6765 (Pool.run pool (fun () -> fib 20)))
+  in
+  for _ = 1 to 20 do
+    cycle ()
+  done;
+  let warm = major_heap_words () in
+  let spawned = Domain_cache.domains_spawned () in
+  for _ = 1 to 200 do
+    cycle ()
+  done;
+  let after = major_heap_words () in
+  (* back-to-back renewals reuse the domain; a few may expire while the
+     host is too busy to run the next create within the linger time *)
+  let fresh = Domain_cache.domains_spawned () - spawned in
+  if fresh > 20 then Alcotest.failf "200 renewals spawned %d fresh domains" fresh;
+  if after > 2 * warm then
+    Alcotest.failf "major heap grew from %d to %d words over 200 pool renewals" warm after
+
+(* [kill] returns without waiting; a later [shutdown] still reaps every
+   worker, and the reaped domains are parked in the cache. *)
+let test_kill_then_shutdown_reaps () =
+  List.iter
+    (fun (policy, name) ->
+       let pool = Pool.create ~domains:2 policy in
+       checki (name ^ " fib before kill") 6765 (Pool.run pool (fun () -> fib 20));
+       Pool.kill pool;
+       Pool.shutdown pool;
+       checkb (name ^ " reaped domains are cached") true (Domain_cache.idle_domains () >= 2);
+       (* the next pool runs on them *)
+       let spawned = Domain_cache.domains_spawned () in
+       with_pool ~domains:2 policy (fun pool ->
+           checki (name ^ " fib on cached domains") 6765 (Pool.run pool (fun () -> fib 20)));
+       checki (name ^ " no new domain spawned") spawned (Domain_cache.domains_spawned ()))
+    policies
+
+(* [respawn_worker] refills a quarantined slot from the cache: a pool
+   shut down just before leaves its domain idle there, so the respawn
+   spawns nothing. *)
+let test_respawn_draws_from_cache () =
+  let rates = { Fault.zero_rates with Fault.worker_crash = Some 1 } in
+  let fault = Fault.create ~rates ~seed:5 () in
+  let pool = Pool.create ~domains:1 ~fault ~respawn_budget:1 Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+       (* worker 1 crashes on its first take; keep running until it has
+          taken one (on a busy host it may sleep through a short run) *)
+       let rec until_crashed k =
+         checki "fib while crashing" 6765 (Pool.run pool (fun () -> fib 20));
+         if Pool.quarantines pool = 0 && k > 0 then until_crashed (k - 1)
+       in
+       until_crashed 200;
+       checki "one quarantine" 1 (Pool.quarantines pool);
+       Pool.shutdown (Pool.create ~domains:1 Pool.Work_stealing);
+       let spawned = Domain_cache.domains_spawned () in
+       checkb "respawn under budget" true (Pool.respawn_worker pool 1);
+       checki "respawn spawned no domain" spawned (Domain_cache.domains_spawned ());
+       checki "full strength" 2 (Pool.degraded_p pool);
+       checki "fib after respawn" 6765 (Pool.run pool (fun () -> fib 20)))
+
+(* Park/wake: between runs the worker parks; each run then forks a task
+   that only the parked worker can run — the caller's own branch waits
+   for it — so a lost wake-up hangs the run, which the watchdog turns
+   into a failure.  Every result is checked. *)
+let test_park_wake_no_lost_wakeups () =
+  List.iter
+    (fun (policy, name) ->
+       with_pool ~domains:1 policy (fun pool ->
+           let snapshot () = Pool.snapshot pool in
+           let parks () = (Pool.counters pool).Pool.parks in
+           (* the worker is awake during every run (it runs the forked
+              task), so a park counted after the previous run's start is
+              a park it entered after that run *)
+           let before_last_run = ref 0 in
+           for i = 1 to 25 do
+             spin_until ~snapshot (fun () -> parks () > !before_last_run);
+             Unix.sleepf 0.001;
+             before_last_run := parks ();
+             let ran = Atomic.make false in
+             let a, b =
+               Pool.run pool (fun () ->
+                   Pool.fork_join
+                     (fun () ->
+                        Atomic.set ran true;
+                        fib 15)
+                     (fun () ->
+                        spin_until ~snapshot (fun () -> Atomic.get ran);
+                        i))
+             in
+             checki (name ^ " woken worker's result") 610 a;
+             checki (name ^ " caller's result") i b
+           done))
+    policies
+
+(* The idle scan runs on every miss of an idle worker: it must not
+   allocate. *)
+let test_queued_scan_allocation_free () =
+  List.iter
+    (fun (policy, name) ->
+       let pool = Pool.For_testing.create_detached ~workers:2 policy in
+       Pool.For_testing.as_worker pool 0 (fun () ->
+           for _ = 1 to 3 do
+             Pool.For_testing.push pool 0 ignore
+           done);
+       checki (name ^ " scan counts the pushes") 3 (Pool.For_testing.live_tasks pool);
+       let w0 = Gc.minor_words () in
+       for _ = 1 to 1000 do
+         ignore (Sys.opaque_identity (Pool.For_testing.live_tasks pool))
+       done;
+       let words = Gc.minor_words () -. w0 in
+       if words > 64. then Alcotest.failf "%s: 1000 scans allocated %.0f words" name words)
+    policies
+
 let () =
   Alcotest.run "runtime"
     [
@@ -513,5 +645,13 @@ let () =
           Alcotest.test_case "timeout not spurious" `Quick test_timeout_not_spurious;
           Alcotest.test_case "background run observed" `Quick test_background_run_observed;
           Alcotest.test_case "snapshot" `Quick test_snapshot_mentions_state;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "pool churn keeps the heap flat" `Quick test_pool_churn_heap_flat;
+          Alcotest.test_case "kill then shutdown reaps" `Quick test_kill_then_shutdown_reaps;
+          Alcotest.test_case "respawn draws from the cache" `Quick test_respawn_draws_from_cache;
+          Alcotest.test_case "park/wake loses no wake-up" `Quick test_park_wake_no_lost_wakeups;
+          Alcotest.test_case "idle scan allocation-free" `Quick test_queued_scan_allocation_free;
         ] );
     ]

@@ -2,7 +2,7 @@
 
    Each scenario is a small, seeded concurrent workload over the
    instrumented structures, paired with a post-hoc oracle the driver
-   evaluates single-threaded.  The Chase-Lev scenarios all share one
+   evaluates single-threaded.  The deque scenarios all share one
    oracle shape: every pushed value is delivered exactly once (to the
    owner, a thief, or the final drain) — the multiset identity that any
    double delivery or lost element breaks.  The pool scenarios run a real
@@ -11,7 +11,6 @@
    the absence of leaked tasks. *)
 
 module Prng = Dfd_structures.Prng
-module Clev = Dfd_structures.Clev
 module Lfdeque = Dfd_structures.Lfdeque
 module Multiq = Dfd_structures.Multiq
 module Fault = Dfd_fault.Fault
@@ -48,171 +47,12 @@ let drain pop =
   go []
 
 (* ------------------------------------------------------------------ *)
-(* Chase-Lev scenarios                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Owner runs a seeded push/pop mix; two thieves each attempt a few
-   steals; oracle drains the rest and checks exactly-once delivery. *)
-let clev_ops =
-  {
-    Explore.name = "clev_ops";
-    descr = "Chase-Lev: seeded owner push/pop mix vs two concurrent thieves";
-    n_threads = 3;
-    approx_steps = 60;
-    prepare =
-      (fun rng ->
-        let q = Clev.create ~min_capacity:8 () in
-        let n_ops = 6 + Prng.int rng 4 in
-        let plan = List.init n_ops (fun _ -> Prng.int rng 3 < 2) in
-        let pushed =
-          let n = List.length (List.filter Fun.id plan) in
-          List.init n Fun.id
-        in
-        let owner_got = ref [] in
-        let thief_got = [| ref []; ref [] |] in
-        let body i =
-          if i = 0 then begin
-            let next = ref 0 in
-            List.iter
-              (fun is_push ->
-                if is_push then begin
-                  Clev.push q !next;
-                  incr next
-                end
-                else
-                  match Clev.pop q with
-                  | Some v -> owner_got := v :: !owner_got
-                  | None -> ())
-              plan
-          end
-          else
-            for _ = 1 to 3 do
-              match Clev.steal q with
-              | Some v -> thief_got.(i - 1) := v :: !(thief_got.(i - 1))
-              | None -> ()
-            done
-        in
-        let oracle () =
-          let rest = drain (fun () -> Clev.pop q) in
-          multiset_result ~pushed
-            ~got:(!owner_got @ !(thief_got.(0)) @ !(thief_got.(1)) @ rest)
-        in
-        (body, oracle));
-  }
-
-(* Tiny initial buffer: the owner's pushes force grows while a thief is
-   mid-steal, exercising the buffer republication race. *)
-let clev_grow =
-  {
-    Explore.name = "clev_grow";
-    descr = "Chase-Lev: forced buffer grows under a concurrent thief";
-    n_threads = 2;
-    approx_steps = 50;
-    prepare =
-      (fun rng ->
-        let q = Clev.create ~min_capacity:2 () in
-        let n_push = 5 + Prng.int rng 3 in
-        let pushed = List.init n_push Fun.id in
-        let owner_got = ref [] in
-        let thief_got = ref [] in
-        let body i =
-          if i = 0 then begin
-            List.iter (Clev.push q) pushed;
-            for _ = 1 to 2 do
-              match Clev.pop q with
-              | Some v -> owner_got := v :: !owner_got
-              | None -> ()
-            done
-          end
-          else
-            for _ = 1 to 4 do
-              match Clev.steal q with
-              | Some v -> thief_got := v :: !thief_got
-              | None -> ()
-            done
-        in
-        let oracle () =
-          let rest = drain (fun () -> Clev.pop q) in
-          multiset_result ~pushed ~got:(!owner_got @ !thief_got @ rest)
-        in
-        (body, oracle));
-  }
-
-(* Start the logical indices just below [max_int]: the owner/thief churn
-   crosses the signed-overflow boundary, validating the wraparound
-   subtraction discipline under concurrency. *)
-let clev_wrap =
-  {
-    Explore.name = "clev_wrap";
-    descr = "Chase-Lev: index churn across the max_int overflow boundary";
-    n_threads = 2;
-    approx_steps = 50;
-    prepare =
-      (fun rng ->
-        let q = Clev.create_at ~min_capacity:2 ~index:(max_int - 3) () in
-        let n_push = 5 + Prng.int rng 2 in
-        let pushed = List.init n_push Fun.id in
-        let owner_got = ref [] in
-        let thief_got = ref [] in
-        let body i =
-          if i = 0 then
-            List.iter
-              (fun v ->
-                Clev.push q v;
-                if v mod 3 = 2 then
-                  match Clev.pop q with
-                  | Some v -> owner_got := v :: !owner_got
-                  | None -> ())
-              pushed
-          else
-            for _ = 1 to 3 do
-              match Clev.steal q with
-              | Some v -> thief_got := v :: !thief_got
-              | None -> ()
-            done
-        in
-        let oracle () =
-          let rest = drain (fun () -> Clev.pop q) in
-          multiset_result ~pushed ~got:(!owner_got @ !thief_got @ rest)
-        in
-        (body, oracle));
-  }
-
-(* The planted bug: two thieves over Buggy_clev's check-then-store
-   [steal].  The explorer must find the double delivery. *)
-let clev_buggy =
-  {
-    Explore.name = "clev_buggy";
-    descr = "deliberately broken steal (check-then-store): explorer must find it";
-    n_threads = 2;
-    approx_steps = 25;
-    prepare =
-      (fun _rng ->
-        let q = Buggy_clev.create ~capacity:8 () in
-        let pushed = [ 0; 1; 2 ] in
-        List.iter (Buggy_clev.push q) pushed;
-        let thief_got = [| ref []; ref [] |] in
-        let body i =
-          for _ = 1 to 2 do
-            match Buggy_clev.steal q with
-            | Some v -> thief_got.(i) := v :: !(thief_got.(i))
-            | None -> ()
-          done
-        in
-        let oracle () =
-          let rest = drain (fun () -> Buggy_clev.pop q) in
-          multiset_result ~pushed ~got:(!(thief_got.(0)) @ !(thief_got.(1)) @ rest)
-        in
-        (body, oracle));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Lfdeque scenarios (the CAS-only DFDeques deque)                     *)
+(* Lfdeque scenarios (the pool's CAS-only deque)                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Owner/thief linearizability: a seeded owner push/pop mix against two
-   concurrent thieves, same oracle shape as [clev_ops] — exactly-once
-   delivery across owner pops, thief steals and the final drain. *)
+   concurrent thieves — exactly-once delivery across owner pops, thief
+   steals and the final drain. *)
 let lfdeque_ops =
   {
     Explore.name = "lfdeque_ops";
@@ -256,6 +96,84 @@ let lfdeque_ops =
           let rest = drain (fun () -> Lfdeque.pop q) in
           multiset_result ~pushed
             ~got:(!owner_got @ !(thief_got.(0)) @ !(thief_got.(1)) @ rest)
+        in
+        (body, oracle));
+  }
+
+(* Tiny initial buffer: the owner's pushes force grows while a thief is
+   mid-steal, exercising the buffer republication race. *)
+let lfdeque_grow =
+  {
+    Explore.name = "lfdeque_grow";
+    descr = "lfdeque: forced buffer grows under a concurrent thief";
+    n_threads = 2;
+    approx_steps = 50;
+    prepare =
+      (fun rng ->
+        let q = Lfdeque.create ~min_capacity:2 ~owner:0 () in
+        let n_push = 5 + Prng.int rng 3 in
+        let pushed = List.init n_push Fun.id in
+        let owner_got = ref [] in
+        let thief_got = ref [] in
+        let body i =
+          if i = 0 then begin
+            List.iter (Lfdeque.push q) pushed;
+            for _ = 1 to 2 do
+              match Lfdeque.pop q with
+              | Some v -> owner_got := v :: !owner_got
+              | None -> ()
+            done
+          end
+          else
+            for _ = 1 to 4 do
+              match Lfdeque.steal q with
+              | Some v -> thief_got := v :: !thief_got
+              | None -> ()
+            done
+        in
+        let oracle () =
+          let rest = drain (fun () -> Lfdeque.pop q) in
+          multiset_result ~pushed ~got:(!owner_got @ !thief_got @ rest)
+        in
+        (body, oracle));
+  }
+
+(* Start the logical indices just below [max_int]: the owner/thief churn
+   crosses the signed-overflow boundary, validating the wraparound
+   subtraction discipline under concurrency. *)
+let lfdeque_wrap =
+  {
+    Explore.name = "lfdeque_wrap";
+    descr = "lfdeque: index churn across the max_int overflow boundary";
+    n_threads = 2;
+    approx_steps = 50;
+    prepare =
+      (fun rng ->
+        let q = Lfdeque.create_at ~min_capacity:2 ~owner:0 ~index:(max_int - 3) () in
+        let n_push = 5 + Prng.int rng 2 in
+        let pushed = List.init n_push Fun.id in
+        let owner_got = ref [] in
+        let thief_got = ref [] in
+        let body i =
+          if i = 0 then
+            List.iter
+              (fun v ->
+                Lfdeque.push q v;
+                if v mod 3 = 2 then
+                  match Lfdeque.pop q with
+                  | Some v -> owner_got := v :: !owner_got
+                  | None -> ())
+              pushed
+          else
+            for _ = 1 to 3 do
+              match Lfdeque.steal q with
+              | Some v -> thief_got := v :: !thief_got
+              | None -> ()
+            done
+        in
+        let oracle () =
+          let rest = drain (fun () -> Lfdeque.pop q) in
+          multiset_result ~pushed ~got:(!owner_got @ !thief_got @ rest)
         in
         (body, oracle));
   }
@@ -829,10 +747,9 @@ let park_buggy =
 
 let all =
   [
-    clev_ops;
-    clev_grow;
-    clev_wrap;
     lfdeque_ops;
+    lfdeque_grow;
+    lfdeque_wrap;
     lfdeque_abandon;
     lfdeque_reap;
     multiq_ops;
@@ -844,9 +761,9 @@ let all =
     park;
   ]
 
-let buggy = clev_buggy
+let buggy = lfdeque_buggy
 
 let find name =
   List.find_opt
     (fun s -> s.Explore.name = name)
-    (clev_buggy :: multiq_buggy :: lfdeque_buggy :: park_buggy :: all)
+    (lfdeque_buggy :: multiq_buggy :: park_buggy :: all)

@@ -136,9 +136,8 @@ val snapshot : ?stable_only:bool -> t -> sample list
     they must not themselves touch the registry.  A probe that raises
     contributes no sample (crash forensics must not crash). *)
 
-(** Renderers over sample lists — shared by the service snapshot, the
-    soak report and [Pool.stats], which previously each hand-rolled their
-    own flattening. *)
+(** Renderers over sample lists — shared by the service snapshot and
+    the soak report. *)
 module Snapshot : sig
   val to_json : sample list -> Dfd_trace.Json.t
   (** Lossless: [{"metrics":[{"name","type","value"...}]}]; histograms

@@ -1,5 +1,4 @@
 module Lfdeque = Dfd_structures.Lfdeque
-module Clev = Dfd_structures.Clev
 module Multiq = Dfd_structures.Multiq
 module Stats = Dfd_structures.Stats
 module Prng = Dfd_structures.Prng
@@ -8,7 +7,6 @@ module Tracer = Dfd_trace.Tracer
 module Event = Dfd_trace.Event
 module Fault = Dfd_fault.Fault
 module Registry = Dfd_obs.Registry
-module Flight = Dfd_obs.Flight
 
 exception Not_in_pool
 
@@ -27,11 +25,12 @@ type task = unit -> unit
 
 type policy = Work_stealing | Dfdeques of { quota : int }
 
-(* A deque of the global list R (DFDeques only; the WS policy uses raw
-   Chase–Lev deques).  Task transfer is CAS-only through [Lfdeque] —
-   owner push/pop at the bottom, thief steals at the top, the sticky
-   owner certificate and the [is_dead] reap test all live inside the
-   structure, so there is no per-deque lock at all.  R membership lives
+(* A deque of the global list R (DFDeques only; each WS worker owns one
+   [Lfdeque] for the pool's lifetime and never abandons it).  Task
+   transfer is CAS-only through [Lfdeque] — owner push/pop at the
+   bottom, thief steals at the top, the sticky owner certificate and the
+   [is_dead] reap test all live inside the structure, so there is no
+   per-deque lock at all.  R membership lives
    in the lock-free [Multiq] (the deque's position is the [Multiq.entry]
    handle held in [dfd_deque] or by a sampling thief).  [did]/[born_us]
    feed the deque-lifecycle trace events. *)
@@ -121,15 +120,19 @@ type wcounters = {
   c_sync : int ref;
       (** synchronization ops (atomic RMWs and publishing stores, CAS
           retries included) this worker executed on DFDeques scheduling
-          paths — the Lfdeque/Multiq [?ops] cells all point here.  A ref
-          rather than a mutable field so the structures can bump it
-          directly; still single-writer (thief-side ops are charged to
-          the thief), and {!padded} into its own cache lines because
-          every DFDeques push and pop bumps it.  Aggregated by
-          {!val-sync_ops} — deliberately not mirrored into a registry
+          paths.  A ref rather than a mutable field so the structures can
+          bump it directly; still single-writer (thief-side ops are
+          charged to the thief), and {!padded} into its own cache lines
+          because every DFDeques push and pop bumps it.  Summed into
+          [counters.sync_ops] — deliberately not mirrored into a registry
           counter on the hot path, which would add an atomic RMW per
           operation just to count atomic RMWs; the registry exposes it
           as a lazy probe instead. *)
+  c_ops : int ref option;
+      (** the [?ops] argument of every Lfdeque/Multiq call made on this
+          worker's behalf: [Some c_sync] under DFDeques, [None] under WS,
+          whose sync ops stay uncounted (0).  Built once, so passing it
+          allocates nothing. *)
   c_rank_err : Stats.Histogram.t;
       (** rank error of this worker's successful steals; merged across
           workers by {!val-rank_error}.  Single-writer like the ints. *)
@@ -162,11 +165,11 @@ type obs = {
 type t = {
   policy : policy;
   n_workers : int;  (** worker domains + the caller *)
-  (* --- Work_stealing: one lock-free deque per worker --------------- *)
-  ws_deques : task Clev.t array;
+  (* --- Work_stealing: one lock-free deque per worker, never abandoned *)
+  ws_deques : task Lfdeque.t array;
   (* --- Dfdeques: the relaxed ordered list R -------------------------
-     Lock hierarchy: [trace_lock] only (plus the idle-parking pair,
-     which no task-holding path touches).  R membership (insert, remove,
+     The only lock in the pool is the idle-parking pair, which no
+     task-holding path touches.  R membership (insert, remove,
      the thief's insert-after-victim) is lock-free CAS in the [Multiq];
      victim selection is two-choice sampling over its shards; task
      transfer is CAS-only through [Lfdeque] — no DFDeques path takes a
@@ -197,16 +200,14 @@ type t = {
       (** signals sent to parked workers.  Its own block, not a mutable
           field: the pool record's fields are read on every fork. *)
   shutting_down : bool Atomic.t;
-  mutable domains : Domain_cache.handle list;
+  domains : Domain_cache.handle list Atomic.t;
+      (** worker domains, respawned ones included; lock-free prepend. *)
   rngs : Prng.t array;  (** per worker; only touched by its own worker. *)
   tracer : Tracer.t;
-  trace_lock : Mutex.t;
-      (** serialises tracer emits now that hot paths take no global lock;
-          only ever taken when the tracer is enabled. *)
   fault : Fault.t;  (** fault-injection plan; {!Fault.none} by default. *)
   obs : obs;  (** registry instruments; no-ops under {!Registry.disabled}. *)
-  flight : Flight.t;
-      (** always-on crash-forensics ring ({!Flight.disabled} by default);
+  flight : Tracer.t;
+      (** always-on crash-forensics ring ({!Tracer.disabled} by default);
           only rare events are recorded, so the hot path stays clean. *)
   t0 : float;  (** pool creation wall clock; event stamps are µs since. *)
   last_active_us : int array;
@@ -234,7 +235,9 @@ type t = {
       (** one-winner quarantine flags; cleared only by {!respawn_worker}. *)
   wgen : int Atomic.t array;
       (** per-slot generation: bumped by quarantine (fences a wedged
-          spinner out of its loop) and by respawn (new incarnation). *)
+          spinner out of its loop) and by respawn (new incarnation), so
+          it is odd exactly while the slot is dead and awaits a respawn.
+          A respawn claims the slot by CAS from that odd value. *)
   crashed_pending : int Atomic.t;
       (** raised certificates not yet quarantined; peers scan when > 0. *)
   orphans : task list Atomic.t;
@@ -245,10 +248,6 @@ type t = {
   n_quarantined : int Atomic.t;  (** currently dead slots: [degraded_p] = n_workers - this. *)
   lineage : lineage_entry list Atomic.t;  (** newest first; lock-free prepend. *)
   respawn_budget : int Atomic.t;
-  respawn_lock : Mutex.t;
-      (** serialises {!respawn_worker} (cold path): the budget claim, the
-          slot reset and the domain spawn must not interleave with a
-          competing respawn of the same slot. *)
 }
 
 (* Wall-clock event timestamp: microseconds since pool creation.  Only
@@ -300,34 +299,32 @@ let backoff_wait rng n =
 let park_threshold = 24
 
 (* ------------------------------------------------------------------ *)
-(* Tracing plumbing (all behind [Tracer.enabled]; emits serialised by   *)
-(* [trace_lock], the innermost lock in the hierarchy)                   *)
+(* Event rings                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let emit_locked pool ~proc kind =
-  Mutex.lock pool.trace_lock;
-  Tracer.emit pool.tracer ~ts:(now_us pool) ~proc ~tid:(-1) kind;
-  Mutex.unlock pool.trace_lock
+(* The pool writes events to two rings, each possibly disabled: the full
+   [tracer], and the small always-on [flight] ring, which keeps only rare
+   events so its few hundred slots per lane reach back over a crash's
+   last moments.  Both are per-lane single-writer rings (lane = [proc];
+   an external supervisor's [-1] has a lane of its own), so no emit takes
+   a lock.  The clock is read only when a ring listens. *)
 
-(* Flight-recorder lane write: per-worker single-writer ring, so no lock;
-   the clock is only read when the recorder is live, mirroring the tracer
-   discipline.  Only rare events go through here (steal successes, quota
-   giveups, deque lifecycle, faults, task exceptions, parks). *)
-let flight_emit pool ~proc kind =
-  if Flight.enabled pool.flight then
-    Flight.recordk pool.flight ~lane:proc ~ts:(now_us pool) ~proc ~tid:(-1) kind
+let observed pool = Tracer.enabled pool.tracer || Tracer.enabled pool.flight
+
+(* A rare event stamped [ts], written to whichever ring is enabled. *)
+let record pool ~ts ~proc kind =
+  Tracer.emit pool.tracer ~ts ~proc ~tid:(-1) kind;
+  Tracer.emit pool.flight ~ts ~proc ~tid:(-1) kind
+
+let emit pool ~proc kind = if observed pool then record pool ~ts:(now_us pool) ~proc kind
+
+(* A per-task or per-attempt event: full tracer only.  Call sites guard
+   with [Tracer.enabled pool.tracer] so the kind is not even allocated
+   when tracing is off. *)
+let emit_hot pool ~proc kind = Tracer.emit pool.tracer ~ts:(now_us pool) ~proc ~tid:(-1) kind
 
 let trace_steal_attempt pool w ~victim =
-  if Tracer.enabled pool.tracer then emit_locked pool ~proc:w (Event.Steal_attempt { victim })
-
-let trace_dq_removed pool ~proc d =
-  if Tracer.enabled pool.tracer then begin
-    Mutex.lock pool.trace_lock;
-    let ts = now_us pool in
-    Tracer.emit pool.tracer ~ts ~proc ~tid:(-1)
-      (Event.Deque_deleted { did = d.did; residency = ts - d.born_us });
-    Mutex.unlock pool.trace_lock
-  end
+  if Tracer.enabled pool.tracer then emit_hot pool ~proc:w (Event.Steal_attempt { victim })
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
@@ -341,24 +338,22 @@ let note_task_start pool w =
   c.c_tasks_run <- c.c_tasks_run + 1;
   Registry.Counter.incr pool.obs.o_tasks_run;
   if Tracer.enabled pool.tracer then begin
-    Mutex.lock pool.trace_lock;
     let ts = now_us pool in
     pool.last_active_us.(w) <- ts;
-    Tracer.emit pool.tracer ~ts ~proc:w ~tid:(-1) (Event.Action_batch { units = 1 });
-    Mutex.unlock pool.trace_lock
+    Tracer.emit pool.tracer ~ts ~proc:w ~tid:(-1) (Event.Action_batch { units = 1 })
   end
 
+(* The steal latency (time since the thief's last task) is only known
+   with the tracer on: [last_active_us] is stamped per task, which the
+   flight ring alone does not pay for, so it records 0. *)
 let note_steal_success pool w ~victim =
   let c = pool.per_worker.(w) in
   c.c_steals <- c.c_steals + 1;
   Registry.Counter.incr pool.obs.o_steals;
-  flight_emit pool ~proc:w (Event.Steal_success { victim; latency = 0 });
-  if Tracer.enabled pool.tracer then begin
-    Mutex.lock pool.trace_lock;
+  if observed pool then begin
     let ts = now_us pool in
-    Tracer.emit pool.tracer ~ts ~proc:w ~tid:(-1)
-      (Event.Steal_success { victim; latency = ts - pool.last_active_us.(w) });
-    Mutex.unlock pool.trace_lock
+    let latency = if Tracer.enabled pool.tracer then ts - pool.last_active_us.(w) else 0 in
+    record pool ~ts ~proc:w (Event.Steal_success { victim; latency })
   end
 
 let note_steal_failure pool w =
@@ -372,9 +367,7 @@ let injected_steal_failure pool w =
   let fail = Fault.steal_fails pool.fault in
   if fail then begin
     note_steal_failure pool w;
-    flight_emit pool ~proc:w (Event.Fault_injected { fault = "steal_fail" });
-    if Tracer.enabled pool.tracer then
-      emit_locked pool ~proc:w (Event.Fault_injected { fault = "steal_fail" })
+    emit pool ~proc:w (Event.Fault_injected { fault = "steal_fail" })
   end;
   fail
 
@@ -392,7 +385,7 @@ let injected_steal_failure pool w =
 let queued pool =
   let n = List.length (Atomic.get pool.orphans) in
   match pool.policy with
-  | Work_stealing -> Array.fold_left (fun n d -> n + Clev.length d) n pool.ws_deques
+  | Work_stealing -> Array.fold_left (fun n d -> n + Lfdeque.length d) n pool.ws_deques
   | Dfdeques _ -> Multiq.fold pool.r (fun n e -> n + Lfdeque.length (Multiq.value e).tasks) n
 
 (* Wake at most one parked worker.  The pusher has already published the
@@ -450,14 +443,14 @@ let park pool w =
 (* task transfer (Lfdeque)                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The worker's sync-op cell, handed to every Lfdeque/Multiq mutating
-   call on its behalf. *)
-let sync_cell pool w = pool.per_worker.(w).c_sync
+(* The [?ops] cell handed to every Lfdeque/Multiq mutating call on
+   worker [w]'s behalf ([None] under WS). *)
+let ops pool w = pool.per_worker.(w).c_ops
 
 (* A fresh deque owned by worker [proc].  Its id is unique without a
    pool-wide counter: worker [proc]'s k-th deque is [k * n_workers + proc]. *)
 let new_dq pool ~proc =
-  let born_us = if Tracer.enabled pool.tracer then now_us pool else 0 in
+  let born_us = if observed pool then now_us pool else 0 in
   let c = pool.per_worker.(proc) in
   c.c_deques <- c.c_deques + 1;
   let d =
@@ -468,9 +461,7 @@ let new_dq pool ~proc =
     }
   in
   Registry.Counter.incr pool.obs.o_deques_created;
-  flight_emit pool ~proc (Event.Deque_created { did = d.did });
-  if Tracer.enabled pool.tracer then
-    emit_locked pool ~proc (Event.Deque_created { did = d.did });
+  emit pool ~proc (Event.Deque_created { did = d.did });
   d
 
 let note_r_insert pool w =
@@ -486,13 +477,15 @@ let note_r_insert pool w =
 let reap_if_dead pool ~proc e =
   let d = Multiq.value e in
   if Multiq.is_live e && Lfdeque.is_dead d.tasks
-     && Multiq.remove ~ops:(sync_cell pool proc) pool.r e
+     && Multiq.remove ?ops:(ops pool proc) pool.r e
   then begin
     let c = pool.per_worker.(proc) in
     c.c_r_removes <- c.c_r_removes + 1;
     Registry.Counter.incr pool.obs.o_deques_deleted;
-    flight_emit pool ~proc (Event.Deque_deleted { did = d.did; residency = 0 });
-    trace_dq_removed pool ~proc d
+    if observed pool then begin
+      let ts = now_us pool in
+      record pool ~ts ~proc (Event.Deque_deleted { did = d.did; residency = ts - d.born_us })
+    end
   end
 
 (* The worker's own deque, creating and inserting it at the front of R if
@@ -503,7 +496,7 @@ let dfd_own_deque pool w =
   | Some e -> Multiq.value e
   | None ->
     let d = new_dq pool ~proc:w in
-    pool.dfd_deque.(w) <- Some (Multiq.insert_front ~ops:(sync_cell pool w) pool.r d);
+    pool.dfd_deque.(w) <- Some (Multiq.insert_front ?ops:(ops pool w) pool.r d);
     note_r_insert pool w;
     d
 
@@ -519,7 +512,7 @@ let dfd_abandon pool w =
   | None -> ()
   | Some e ->
     pool.dfd_deque.(w) <- None;
-    Lfdeque.abandon ~ops:(sync_cell pool w) (Multiq.value e).tasks;
+    Lfdeque.abandon ?ops:(ops pool w) (Multiq.value e).tasks;
     reap_if_dead pool ~proc:w e
 
 (* Rank error of a successful steal: how far the sampled victim sat
@@ -536,8 +529,7 @@ let note_rank_error pool w e =
   Stats.Histogram.add c.c_rank_err (float_of_int err);
   Registry.Histogram.observe pool.obs.o_rank_error err;
   if Tracer.enabled pool.tracer then
-    emit_locked pool ~proc:w
-      (Event.Steal_rank { victim = (Multiq.value e).did; rank; err })
+    emit_hot pool ~proc:w (Event.Steal_rank { victim = (Multiq.value e).did; rank; err })
 
 (* A successful DFD steal: the thief takes ownership of a fresh deque
    inserted immediately to the right of the victim (paper invariant: a
@@ -547,7 +539,7 @@ let note_rank_error pool w e =
    reaped if the steal emptied an unowned deque. *)
 let dfd_adopt_after pool w victim_e =
   let d = new_dq pool ~proc:w in
-  let e = Multiq.insert_after ~ops:(sync_cell pool w) pool.r victim_e d in
+  let e = Multiq.insert_after ?ops:(ops pool w) pool.r victim_e d in
   note_r_insert pool w;
   reap_if_dead pool ~proc:w victim_e;
   pool.dfd_deque.(w) <- Some e
@@ -574,7 +566,7 @@ let dfd_steal pool w =
          a genuinely drained deque and a lost top-CAS race — either way
          the attempt failed and the caller retries with backoff, exactly
          like a WS thief losing a Chase–Lev race. *)
-      (match Lfdeque.steal ~ops:(sync_cell pool w) victim.tasks with
+      (match Lfdeque.steal ?ops:(ops pool w) victim.tasks with
        | None ->
          (* drained (or raced) between sample and steal; reap if dead *)
          reap_if_dead pool ~proc:w victim_e;
@@ -626,9 +618,7 @@ let rec lineage_add pool entry =
    certificate must be noticed even on an otherwise idle pool, and the
    held task is in no deque until a peer requeues it. *)
 let worker_crash pool w =
-  flight_emit pool ~proc:w (Event.Fault_injected { fault = "worker_crash" });
-  if Tracer.enabled pool.tracer then
-    emit_locked pool ~proc:w (Event.Fault_injected { fault = "worker_crash" });
+  emit pool ~proc:w (Event.Fault_injected { fault = "worker_crash" });
   Schedpoint.point Schedpoint.pool_crash_flag;
   Atomic.set pool.stopped.(w) true;
   Atomic.incr pool.crashed_pending;
@@ -643,9 +633,7 @@ let worker_crash pool w =
    quarantine of this worker sound: after the bump the spinner's only
    remaining action is to unwind. *)
 let wedge_spin pool w =
-  flight_emit pool ~proc:w (Event.Fault_injected { fault = "worker_wedge" });
-  if Tracer.enabled pool.tracer then
-    emit_locked pool ~proc:w (Event.Fault_injected { fault = "worker_wedge" });
+  emit pool ~proc:w (Event.Fault_injected { fault = "worker_wedge" });
   let g0 = Atomic.get pool.wgen.(w) in
   Atomic.set pool.wedged.(w) true;
   while Atomic.get pool.wgen.(w) = g0 && not (Atomic.get pool.shutting_down) do
@@ -679,9 +667,7 @@ let quarantine_as pool ~proc ~cause w =
      | Some task ->
        orphan_push pool task;
        Registry.Counter.incr pool.obs.o_requeues;
-       flight_emit pool ~proc (Event.Task_requeued { worker = w });
-       if Tracer.enabled pool.tracer then
-         emit_locked pool ~proc (Event.Task_requeued { worker = w });
+       emit pool ~proc (Event.Task_requeued { worker = w });
        signal_work pool
      | None -> ());
     let abandoned =
@@ -695,15 +681,13 @@ let quarantine_as pool ~proc ~cause w =
           | None -> false
           | Some e ->
             pool.dfd_deque.(w) <- None;
-            Lfdeque.abandon ~ops:(sync_cell pool w) (Multiq.value e).tasks;
+            Lfdeque.abandon ?ops:(ops pool w) (Multiq.value e).tasks;
             reap_if_dead pool ~proc:w e;
             true)
     in
     lineage_add pool { worker = w; cause; requeued = Option.is_some held; abandoned };
     Registry.Counter.incr pool.obs.o_quarantines;
-    flight_emit pool ~proc (Event.Worker_quarantined { worker = w; cause });
-    if Tracer.enabled pool.tracer then
-      emit_locked pool ~proc (Event.Worker_quarantined { worker = w; cause });
+    emit pool ~proc (Event.Worker_quarantined { worker = w; cause });
     true
   end
   else false
@@ -728,13 +712,34 @@ let scan_crashed pool ~proc =
    [signal_work] read [n_parked].  No pool-wide read-modify-write. *)
 let push_local pool w task =
   Schedpoint.point Schedpoint.pool_push;
-  (match pool.policy with
-   | Work_stealing -> Clev.push pool.ws_deques.(w) task
-   | Dfdeques _ ->
-     let d = dfd_own_deque pool w in
-     Lfdeque.push ~ops:(sync_cell pool w) d.tasks task);
+  let q =
+    match pool.policy with
+    | Work_stealing -> pool.ws_deques.(w)
+    | Dfdeques _ -> (dfd_own_deque pool w).tasks
+  in
+  Lfdeque.push ?ops:(ops pool w) q task;
   Schedpoint.point Schedpoint.pool_push_signal;
   signal_work pool
+
+let note_local_pop pool w =
+  let c = pool.per_worker.(w) in
+  c.c_local_pops <- c.c_local_pops + 1;
+  Registry.Counter.incr pool.obs.o_local_pops
+
+(* One WS steal attempt from a uniformly random victim's deque. *)
+let ws_steal pool w =
+  if injected_steal_failure pool w then None
+  else begin
+    let victim = Prng.int pool.rngs.(w) pool.n_workers in
+    trace_steal_attempt pool w ~victim;
+    match if victim = w then None else Lfdeque.steal pool.ws_deques.(victim) with
+    | Some _ as t ->
+      note_steal_success pool w ~victim;
+      t
+    | None ->
+      note_steal_failure pool w;
+      None
+  end
 
 (* One attempt to obtain a task; lock-free on every path — WS and DFD
    both go through CAS-only deques. *)
@@ -751,54 +756,28 @@ let try_get pool w =
   | None -> (
   match pool.policy with
   | Work_stealing -> (
-      match Clev.pop pool.ws_deques.(w) with
-      | Some t ->
-        let c = pool.per_worker.(w) in
-        c.c_local_pops <- c.c_local_pops + 1;
-        Registry.Counter.incr pool.obs.o_local_pops;
-        Some t
-      | None ->
-        if injected_steal_failure pool w then None
-        else begin
-          let victim = Prng.int pool.rngs.(w) pool.n_workers in
-          trace_steal_attempt pool w ~victim;
-          if victim = w then begin
-            note_steal_failure pool w;
-            None
-          end
-          else
-            match Clev.steal pool.ws_deques.(victim) with
-            | Some t ->
-              note_steal_success pool w ~victim;
-              Some t
-            | None ->
-              note_steal_failure pool w;
-              None
-        end)
+      match Lfdeque.pop pool.ws_deques.(w) with
+      | Some _ as t ->
+        note_local_pop pool w;
+        t
+      | None -> ws_steal pool w)
   | Dfdeques _ -> (
       match pool.dfd_deque.(w) with
       | Some _ when c0.c_quota_left <= 0 ->
         (* memory quota exhausted: abandon the deque and steal *)
         c0.c_quota_giveups <- c0.c_quota_giveups + 1;
         Registry.Counter.incr pool.obs.o_quota_giveups;
-        (if Flight.enabled pool.flight then
-           let quota = Atomic.get pool.dfd_quota in
-           flight_emit pool ~proc:w
-             (Event.Quota_exhausted { used = quota - c0.c_quota_left; quota }));
-        if Tracer.enabled pool.tracer then begin
+        if observed pool then begin
           let quota = Atomic.get pool.dfd_quota in
-          emit_locked pool ~proc:w
-            (Event.Quota_exhausted { used = quota - c0.c_quota_left; quota })
+          emit pool ~proc:w (Event.Quota_exhausted { used = quota - c0.c_quota_left; quota })
         end;
         dfd_abandon pool w;
         dfd_steal pool w
       | Some e -> (
-          let d = Multiq.value e in
-          match Lfdeque.pop ~ops:(sync_cell pool w) d.tasks with
-          | Some t ->
-            let c = pool.per_worker.(w) in
-            c.c_local_pops <- c.c_local_pops + 1;
-            Some t
+          match Lfdeque.pop ?ops:(ops pool w) (Multiq.value e).tasks with
+          | Some _ as t ->
+            note_local_pop pool w;
+            t
           | None ->
             (* empty own deque: retire it, then steal *)
             dfd_abandon pool w;
@@ -836,7 +815,7 @@ let help_once ?(top = false) pool w =
           let c = pool.per_worker.(w) in
           c.c_task_exns <- c.c_task_exns + 1;
           Registry.Counter.incr pool.obs.o_task_exns;
-          flight_emit pool ~proc:w (Event.Fault_injected { fault = "task_exn" }))
+          emit pool ~proc:w (Event.Fault_injected { fault = "task_exn" }))
      | None ->
        (* a quarantiner won the exchange: the task is requeued and this
           worker has been declared dead — unwind without running it *)
@@ -845,34 +824,26 @@ let help_once ?(top = false) pool w =
   | None -> false
 
 (* Pop our most recent push if it is still on top (the fork_join fast
-   path).  Physical equality identifies the task.  Both policies use the
-   same lock-free discipline: owner pop, and a pop that surfaces some
-   other task (possible only if ours was stolen) is pushed straight
-   back — the push-back is safe because only the owner pops its own
-   deque, so nothing was reordered underneath it. *)
+   path).  Physical equality identifies the task.  A pop that surfaces
+   some other task (possible only if ours was stolen) is pushed straight
+   back — safe because only the owner pops its own deque, so nothing was
+   reordered underneath it. *)
+let pop_exact pool w q task =
+  let ops = ops pool w in
+  match Lfdeque.pop ?ops q with
+  | Some t when t == task -> true
+  | Some other ->
+    Lfdeque.push ?ops q other;
+    false
+  | None -> false
+
 let try_pop_exact pool w task =
   Schedpoint.point Schedpoint.pool_pop_exact;
   let got =
-    match pool.policy with
-    | Work_stealing -> (
-        match Clev.pop pool.ws_deques.(w) with
-        | Some t when t == task -> true
-        | Some other ->
-          Clev.push pool.ws_deques.(w) other;
-          false
-        | None -> false)
-    | Dfdeques _ -> (
-        match pool.dfd_deque.(w) with
-        | None -> false
-        | Some e -> (
-            let d = Multiq.value e in
-            let ops = sync_cell pool w in
-            match Lfdeque.pop ~ops d.tasks with
-            | Some t when t == task -> true
-            | Some other ->
-              Lfdeque.push ~ops d.tasks other;
-              false
-            | None -> false))
+    match pool.policy, pool.dfd_deque.(w) with
+    | Work_stealing, _ -> pop_exact pool w pool.ws_deques.(w) task
+    | Dfdeques _, Some e -> pop_exact pool w (Multiq.value e).tasks task
+    | Dfdeques _, None -> false
   in
   if got then note_task_start pool w;
   got
@@ -897,7 +868,7 @@ let fulfill pool pr f =
       let c = pool.per_worker.(w) in
       c.c_task_exns <- c.c_task_exns + 1;
       Registry.Counter.incr pool.obs.o_task_exns;
-      flight_emit pool ~proc:w (Event.Fault_injected { fault = "task_exn" });
+      emit pool ~proc:w (Event.Fault_injected { fault = "task_exn" });
       Failed e
   in
   Schedpoint.point Schedpoint.pool_fulfill;
@@ -1013,12 +984,12 @@ let register_probes registry pool =
     "dfd_pool_sync_ops"
     (fun () -> Array.fold_left (fun acc c -> acc + !(c.c_sync)) 0 pool.per_worker)
 
-let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_budget = 0)
+let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_budget = 0)
     ~n_workers ~tracer ~fault policy =
     {
       policy;
       n_workers;
-      ws_deques = Array.init n_workers (fun _ -> Clev.create ());
+      ws_deques = Array.init n_workers (fun w -> Lfdeque.create ~owner:w ());
       (* 2 shards per worker: enough spread that concurrent membership
          CAS retries stay rare, small enough that two-choice sampling
          still sees a meaningful fraction of R *)
@@ -1029,6 +1000,7 @@ let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_b
           (match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int);
       per_worker =
         Array.init n_workers (fun _ ->
+            let c_sync = padded (ref 0) in
             padded
               {
                 c_steals = 0;
@@ -1045,7 +1017,8 @@ let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_b
                 c_deques = 0;
                 c_quota_left =
                   (match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int);
-                c_sync = padded (ref 0);
+                c_sync;
+                c_ops = (match policy with Dfdeques _ -> Some c_sync | Work_stealing -> None);
                 c_rank_err = Stats.Histogram.create ();
               });
       idle_lock = Mutex.create ();
@@ -1053,10 +1026,9 @@ let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_b
       n_parked = Atomic.make 0;
       wake_signals = Atomic.make 0;
       shutting_down = Atomic.make false;
-      domains = [];
+      domains = Atomic.make [];
       rngs = Array.init n_workers (fun i -> Prng.create (1000 + i));
       tracer;
-      trace_lock = Mutex.create ();
       fault;
       obs = make_obs registry;
       flight;
@@ -1076,7 +1048,6 @@ let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_b
       n_quarantined = Atomic.make 0;
       lineage = Atomic.make [];
       respawn_budget = Atomic.make (max 0 respawn_budget);
-      respawn_lock = Mutex.create ();
     }
 
 let make ?registry ?flight ?respawn_budget ~n_workers ~tracer ~fault policy =
@@ -1092,7 +1063,8 @@ let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry 
     | None -> max 0 (Domain.recommended_domain_count () - 1)
   in
   let pool = make ?registry ?flight ?respawn_budget ~n_workers:(extra + 1) ~tracer ~fault policy in
-  pool.domains <- List.init extra (fun i -> Domain_cache.spawn (fun () -> worker_loop pool (i + 1)));
+  Atomic.set pool.domains
+    (List.init extra (fun i -> Domain_cache.spawn (fun () -> worker_loop pool (i + 1))));
   pool
 
 (* After cancellation the deques may still hold queued tasks whose parents
@@ -1244,14 +1216,6 @@ let counters pool =
     }
     pool.per_worker
 
-(* Total synchronization operations (atomic RMWs + publishing stores,
-   CAS retries included) executed on DFDeques scheduling paths, summed
-   across workers — the Rito & Paulino sync-overhead metric, measured
-   rather than assumed.  Zero under WS (the Clev paths predate the
-   accounting and stay unmeasured).  Same staleness contract as
-   {!val-counters}. *)
-let sync_ops pool = Array.fold_left (fun acc c -> acc + !(c.c_sync)) 0 pool.per_worker
-
 (* Per-worker single-writer histograms merged at read, like the ints. *)
 let rank_error pool =
   Array.fold_left
@@ -1262,10 +1226,6 @@ let heartbeat pool =
   Array.fold_left (fun acc c -> acc + c.c_tasks_run) 0 pool.per_worker
 
 (* --- crash-domain surface ------------------------------------------- *)
-
-(* Per-worker progress vector (the aggregate {!val-heartbeat}, split): a
-   supervisor diffing two reads can tell which worker went flat. *)
-let heartbeats pool = Array.map (fun c -> c.c_tasks_run) pool.per_worker
 
 (* Point-in-time crash-domain view of every slot.  [w_activity] is the
    take-attempt clock: an awaiting or stealing worker keeps ticking even
@@ -1341,32 +1301,8 @@ let verify_lineage pool =
         (match !bad with Some s -> Error s | None -> Ok ())
       end
 
-(* The registry snapshot type is the one flattening of the counters
-   record; [stats] (the legacy alist) and the service's counter
-   passthrough both derive from it instead of hand-rolling their own. *)
-let metrics_samples pool =
-  let c = counters pool in
-  let s name value = { Registry.name; help = ""; stable = false; value = Registry.Counter_v value } in
-  [
-    s "steals" c.steals;
-    s "steal_failures" c.steal_failures;
-    s "local_pops" c.local_pops;
-    s "quota_giveups" c.quota_giveups;
-    s "tasks_run" c.tasks_run;
-    s "task_exns" c.task_exns;
-    s "alloc_bytes" c.alloc_bytes;
-    s "parks" c.parks;
-    s "r_inserts" c.r_inserts;
-    s "r_removes" c.r_removes;
-    s "sync_ops" c.sync_ops;
-  ]
-
-let stats pool = Registry.Snapshot.to_alist (metrics_samples pool)
-
-let flight pool = pool.flight
-
 (* Human-readable diagnostic dump for hang post-mortems: every counter,
-   the live-task and cancellation state, and each deque's occupancy.
+   the queued-task and cancellation state, and each deque's occupancy.
    Counter reads are per-worker aggregates and the R walk is a lock-free
    Multiq snapshot — both exact once idle, slightly stale while running.
    Call it from a watchdog, not a hot path. *)
@@ -1378,14 +1314,18 @@ let snapshot pool =
      | Work_stealing -> "WS"
      | Dfdeques { quota } -> Printf.sprintf "DFDeques(K=%d)" quota)
     pool.n_workers;
-  pf "  live_tasks=%d parked=%d wake_signals=%d shutting_down=%b cancelled=%b deadline=%s\n"
+  pf "  queued=%d parked=%d wake_signals=%d shutting_down=%b cancelled=%b deadline=%s\n"
     (queued pool) (Atomic.get pool.n_parked)
     (Atomic.get pool.wake_signals)
     (Atomic.get pool.shutting_down) (Atomic.get pool.cancelled)
     (match Atomic.get pool.deadline with
      | None -> "none"
      | Some d -> Printf.sprintf "%+.3fs" (d -. Unix.gettimeofday ()));
-  List.iter (fun (k, v) -> pf "  %s=%d\n" k v) (stats pool);
+  let c = counters pool in
+  pf "  steals=%d steal_failures=%d local_pops=%d quota_giveups=%d tasks_run=%d task_exns=%d\n"
+    c.steals c.steal_failures c.local_pops c.quota_giveups c.tasks_run c.task_exns;
+  pf "  alloc_bytes=%d parks=%d r_inserts=%d r_removes=%d sync_ops=%d\n" c.alloc_bytes c.parks
+    c.r_inserts c.r_removes c.sync_ops;
   pf "  heartbeat=%d faults_injected=%d\n" (heartbeat pool) (Fault.injected_total pool.fault);
   pf "  degraded_p=%d quarantined=%d crashed_pending=%d orphans=%d (pushes=%d pops=%d) respawn_budget=%d\n"
     (degraded_p pool) (Atomic.get pool.n_quarantined) (Atomic.get pool.crashed_pending)
@@ -1410,7 +1350,7 @@ let snapshot pool =
   (match pool.policy with
    | Work_stealing ->
      Array.iteri
-       (fun i d -> pf "  deque[worker %d]: %d tasks\n" i (Clev.length d))
+       (fun i d -> pf "  deque[worker %d]: %d tasks\n" i (Lfdeque.length d))
        pool.ws_deques
    | Dfdeques _ ->
      (* lock-free Multiq walk: approximate while membership churns,
@@ -1446,15 +1386,20 @@ let kill pool =
    back in {!Domain_cache}, waiting for the next pool. *)
 let shutdown pool =
   kill pool;
-  List.iter Domain_cache.join pool.domains;
-  pool.domains <- []
+  List.iter Domain_cache.join (Atomic.exchange pool.domains [])
+
+let rec take_respawn_budget pool =
+  let b = Atomic.get pool.respawn_budget in
+  b > 0 && (Atomic.compare_and_set pool.respawn_budget b (b - 1) || take_respawn_budget pool)
 
 (* Start a fresh worker in a quarantined slot, under the respawn budget.
-   Cold path: [respawn_lock] serialises the budget claim, the slot reset
-   and the spawn, so two supervisors cannot double-fill one slot or spend
-   one budget unit twice.  Resetting the slot's owner-only state is sound
-   because quarantine certifiably fenced the previous incarnation (its
-   generation was bumped; crashed domains have unwound, wedged ones only
+   Cold path, lock-free: the CAS of the slot's generation from the odd
+   value quarantine left is the one-winner claim, so two supervisors
+   cannot double-fill one slot; the budget is claimed after it (a failed
+   budget claim hands the slot back), so it is never spent twice and a
+   losing claim never makes another respawn fail.  Resetting the slot's
+   owner-only state is sound because quarantine certifiably fenced the
+   previous incarnation (crashed domains have unwound, wedged ones only
    spin) — and quarantine already drained [cur_task], so no task can be
    hiding in the slot we reset.  The new worker runs on a cached domain
    when one is idle (the dead incarnation's own domain can be one).  The
@@ -1462,34 +1407,32 @@ let shutdown pool =
    [shutdown] join, exactly like a live one. *)
 let respawn_worker pool w =
   if w <= 0 || w >= pool.n_workers then invalid_arg "Pool.respawn_worker: bad worker";
-  Mutex.lock pool.respawn_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock pool.respawn_lock)
-    (fun () ->
-       if
-         Atomic.get pool.quarantined.(w)
-         && (not (Atomic.get pool.shutting_down))
-         && Atomic.get pool.respawn_budget > 0
-       then begin
-         Atomic.decr pool.respawn_budget;
-         assert (Option.is_none (Atomic.get pool.cur_task.(w)));
-         Atomic.set pool.stopped.(w) false;
-         Atomic.set pool.wedged.(w) false;
-         pool.per_worker.(w).c_quota_left <- Atomic.get pool.dfd_quota;
-         pool.dfd_deque.(w) <- None;
-         Atomic.incr pool.wgen.(w);
-         (* flags last: the slot is fully rebuilt before it reads as live *)
-         Atomic.set pool.quarantined.(w) false;
-         Atomic.decr pool.n_quarantined;
-         lineage_add pool { worker = w; cause = "respawn"; requeued = false; abandoned = false };
-         Registry.Counter.incr pool.obs.o_respawns;
-         flight_emit pool ~proc:w (Event.Worker_respawned { worker = w });
-         if Tracer.enabled pool.tracer then
-           emit_locked pool ~proc:w (Event.Worker_respawned { worker = w });
-         pool.domains <- Domain_cache.spawn (fun () -> worker_loop pool w) :: pool.domains;
-         true
-       end
-       else false)
+  let g = Atomic.get pool.wgen.(w) in
+  g land 1 = 1
+  && Atomic.get pool.quarantined.(w)
+  && (not (Atomic.get pool.shutting_down))
+  && Atomic.compare_and_set pool.wgen.(w) g (g + 1)
+  && (take_respawn_budget pool || (Atomic.set pool.wgen.(w) g; false))
+  && begin
+    assert (Option.is_none (Atomic.get pool.cur_task.(w)));
+    Atomic.set pool.stopped.(w) false;
+    Atomic.set pool.wedged.(w) false;
+    pool.per_worker.(w).c_quota_left <- Atomic.get pool.dfd_quota;
+    pool.dfd_deque.(w) <- None;
+    (* flags last: the slot is fully rebuilt before it reads as live *)
+    Atomic.set pool.quarantined.(w) false;
+    Atomic.decr pool.n_quarantined;
+    lineage_add pool { worker = w; cause = "respawn"; requeued = false; abandoned = false };
+    Registry.Counter.incr pool.obs.o_respawns;
+    emit pool ~proc:w (Event.Worker_respawned { worker = w });
+    let d = Domain_cache.spawn (fun () -> worker_loop pool w) in
+    let rec add () =
+      let ds = Atomic.get pool.domains in
+      if not (Atomic.compare_and_set pool.domains ds (d :: ds)) then add ()
+    in
+    add ();
+    true
+  end
 
 (* Entry points for the systematic concurrency checker (lib/check): a
    pool with worker slots but no spawned domains, so every thread touching

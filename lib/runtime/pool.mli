@@ -5,10 +5,12 @@
     scheduling algorithms that the simulator analyses, driving real OCaml
     closures on real domains.
 
-    - {!Work_stealing} — one {e lock-free Chase–Lev deque} per worker,
-      LIFO locally, thieves pop the bottom of a uniformly random victim
-      (Blumofe–Leiserson / Cilk).  The owner's push/pop takes no lock and
-      no CAS except on the last element; steals are arbitrated by one CAS.
+    - {!Work_stealing} — one {e lock-free Chase–Lev deque}
+      ({!Dfd_structures.Lfdeque}, owned for the pool's lifetime and never
+      abandoned) per worker, LIFO locally, thieves pop the bottom of a
+      uniformly random victim (Blumofe–Leiserson / Cilk).  The owner's
+      push/pop takes no lock and no CAS except on the last element;
+      steals are arbitrated by one CAS.
     - {!Dfdeques} — the paper's algorithm: a globally ordered list R of
       deques; thieves pop the bottom of a deque near the leftmost-[p]
       window; a cooperative memory quota (fed by {!alloc_hint}) makes a
@@ -27,11 +29,11 @@
       exact window), which the pool measures per steal and exposes via
       {!rank_error}, the [dfd_pool_steal_rank_error] registry histogram
       and [Steal_rank] trace events; the synchronization cost of the
-      CAS discipline is itself measured ({!sync_ops},
+      CAS discipline is itself measured ([counters.sync_ops],
       [dfd_pool_sync_ops]).  DESIGN.md §15 documents the MultiQueue and
       §16 the lock-free deque (CAS commit points, ABA and
-      memory-ordering audit); §10 the lock hierarchy, now [trace_lock]
-      only.
+      memory-ordering audit); §10 the park/wake handshake, whose
+      idle-parking mutex is the pool's only lock.
 
     Fork-join is work-first: {!fork_join} pushes the left branch and runs
     the right inline; on return it pops the left branch back if nobody
@@ -82,7 +84,7 @@ val create :
   ?tracer:Dfd_trace.Tracer.t ->
   ?fault:Dfd_fault.Fault.t ->
   ?registry:Dfd_obs.Registry.t ->
-  ?flight:Dfd_obs.Flight.t ->
+  ?flight:Dfd_trace.Tracer.t ->
   ?respawn_budget:int ->
   policy ->
   t
@@ -96,10 +98,10 @@ val create :
     scheduler events — steal attempts/successes, quota exhaustions, deque
     lifecycle, one [Action_batch] per task.  Unlike the simulator, event
     timestamps are wall-clock microseconds since pool creation, so traces
-    export directly to Chrome/Perfetto at real-time scale.  Emits are
-    serialised by a dedicated trace lock (taken only when the tracer is
-    enabled — with tracing off the hot paths never read the clock), so
-    any tracer is safe to share.
+    export directly to Chrome/Perfetto at real-time scale.  Each worker
+    writes its own lane of the tracer and an external supervisor the
+    [proc = -1] lane, so no emit takes a lock; with tracing off the hot
+    paths never read the clock.
 
     [fault] (default {!Dfd_fault.Fault.none}): a seeded fault-injection
     plan for chaos testing.  The pool consults it at every steal attempt
@@ -119,11 +121,13 @@ val create :
     so pool incarnations respawned by a supervisor keep accumulating into
     the same series.
 
-    [flight] (default {!Dfd_obs.Flight.disabled}): always-on crash
-    forensics.  Rare events (steal successes, quota giveups, deque
-    lifecycle, injected faults, task exceptions) are recorded into
-    per-worker bounded rings that a supervisor dumps on [Timeout],
-    watchdog kill or give-up — without enabling full tracing.
+    [flight] (default {!Dfd_trace.Tracer.disabled}): always-on crash
+    forensics, a small-capacity tracer.  Rare events only (steal
+    successes, quota giveups, deque lifecycle, injected faults, task
+    exceptions, quarantines and respawns) are recorded into its
+    per-worker lanes, which a supervisor dumps on [Timeout], watchdog
+    kill or give-up ({!Dfd_trace.Tracer.write_file}) — without
+    enabling full tracing.  Those events also go to [tracer].
 
     [respawn_budget] (default 0): how many quarantined worker slots
     {!respawn_worker} may refill with fresh domains over the pool's
@@ -209,8 +213,13 @@ type counters = {
   r_removes : int;  (** deques reaped from R (DFDeques only) *)
   sync_ops : int;
       (** synchronization operations (atomic RMWs and publishing stores,
-          CAS retries included) on DFDeques scheduling paths; 0 under
-          {!Work_stealing} *)
+          CAS retries included) on DFDeques scheduling paths — push, pop,
+          steal, abandonment, reap and R membership: the Rito & Paulino
+          sync-overhead metric, measured rather than assumed.  Always 0
+          under {!Work_stealing}, whose deque calls go uncounted.  The
+          registry exposes it as the lazily-summed [dfd_pool_sync_ops]
+          probe (mirroring it into a write-side counter would add an
+          atomic RMW per operation just to count atomic RMWs). *)
 }
 
 val counters : t -> counters
@@ -220,19 +229,6 @@ val counters : t -> counters
     no lock is taken to read any of them), so a snapshot taken while
     tasks are running may be slightly stale; it is exact once the pool
     is idle. *)
-
-val sync_ops : t -> int
-(** Total synchronization operations (atomic RMWs and publishing stores,
-    CAS retries included) executed on DFDeques scheduling paths — push,
-    pop, steal, abandonment, reap, and R membership — summed across the
-    per-worker single-writer cells.  The Rito & Paulino sync-overhead
-    metric: what the lock removal is measured by, not assumed from.
-    Always 0 under {!Work_stealing}.  Exposed to the registry as the
-    lazily-summed [dfd_pool_sync_ops] probe (the pool deliberately does
-    not mirror it into a write-side counter — that would add an atomic
-    RMW per operation just to count atomic RMWs) and per p in the
-    [sync_ops] section of [BENCH_pool.json].  Same staleness contract as
-    {!val-counters}. *)
 
 val rank_error : t -> Dfd_structures.Stats.Histogram.t
 (** Distribution of the rank error of every successful DFDeques steal:
@@ -288,10 +284,6 @@ type worker_state = {
   w_quarantined : bool;
 }
 
-val heartbeats : t -> int array
-(** Per-worker split of {!heartbeat}: a supervisor diffing two reads can
-    tell {e which} worker went flat, not just that someone did. *)
-
 val worker_states : t -> worker_state array
 (** Point-in-time crash-domain view of every worker slot (lock-free
     reads; same staleness contract as {!val-counters}). *)
@@ -311,8 +303,8 @@ val respawn_worker : t -> int -> bool
     [respawn_budget].  Its domain comes from {!Domain_cache} (the dead
     worker's own domain, once it has unwound, is one candidate).  Returns [false] (and does nothing) if the
     slot is not quarantined, the budget is exhausted, or the pool is
-    shutting down.  Serialised internally; safe to call from any
-    thread.  Raises [Invalid_argument] for slot 0 or out-of-range. *)
+    shutting down.  Lock-free (the slot is claimed by CAS); safe to
+    call from any thread.  Raises [Invalid_argument] for slot 0 or out-of-range. *)
 
 val degraded_p : t -> int
 (** Live processor count: [n_workers] minus currently quarantined slots —
@@ -330,20 +322,6 @@ val verify_lineage : t -> (unit, string) result
     push/pop counts balanced and equal to the ledger's requeue count,
     and each slot's quarantine/respawn history consistent with its live
     flag.  [Error] pinpoints the first violated invariant. *)
-
-val metrics_samples : t -> Dfd_obs.Registry.sample list
-(** {!counters} as registry snapshot samples (unlabelled names, marked
-    unstable since native counters race) — the single flattening that
-    {!stats} and the service's counter passthrough both derive from. *)
-
-val stats : t -> (string * int) list
-(** {!counters} flattened to association-list form for quick printing
-    ([Dfd_obs.Registry.Snapshot.to_alist] over {!metrics_samples}). *)
-
-val flight : t -> Dfd_obs.Flight.t
-(** The flight recorder passed at {!create}
-    ({!Dfd_obs.Flight.disabled} if none) — supervisors dump it on
-    wedge/timeout post-mortems. *)
 
 val snapshot : t -> string
 (** Human-readable diagnostic dump: policy, counters, live-task and

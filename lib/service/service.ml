@@ -3,7 +3,6 @@ module Tracer = Dfd_trace.Tracer
 module Event = Dfd_trace.Event
 module Registry = Dfd_obs.Registry
 module Openmetrics = Dfd_obs.Openmetrics
-module Flight = Dfd_obs.Flight
 module Headroom = Dfd_obs.Headroom
 module Stats = Dfd_structures.Stats
 
@@ -110,7 +109,7 @@ type cell =
 
 type epoch = {
   pool : Pool.t;
-  flight : Flight.t;  (** this incarnation's crash-forensics ring. *)
+  flight : Tracer.t;  (** this incarnation's crash-forensics ring. *)
   cell : cell Atomic.t;
   retired : bool Atomic.t;
   mutable exec : unit Domain.t option;
@@ -285,7 +284,7 @@ let spawn_raw_epoch ?(fault = Dfd_fault.Fault.none) ~domains ~policy ~k0 ~regist
   (* each incarnation gets a fresh flight ring (forensics belong to one
      pool's lifetime) but shares the registry, whose upsert registration
      keeps the dfd_pool_* series continuous across respawns *)
-  let flight = Flight.create ~lanes:(domains + 1) () in
+  let flight = Tracer.create ~capacity:256 () in
   let pool =
     Pool.create ~domains ~fault ~registry ~flight ~respawn_budget
       (effective_policy ~policy ~k0)
@@ -478,7 +477,7 @@ let flight_dump t ~reason =
   | Some dir ->
     let path = Filename.concat dir (Printf.sprintf "flight_%s_step%05d.json" reason t.clock) in
     let snapshot = try Pool.snapshot t.epoch.pool with _ -> "pool snapshot unavailable" in
-    (try Flight.write_file ~snapshot ~path ~reason t.epoch.flight with Sys_error _ -> ())
+    (try Tracer.write_file ~snapshot ~path ~reason t.epoch.flight with Sys_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Ledger bookkeeping                                                  *)

@@ -1,10 +1,12 @@
-(* Single-word-CAS lock-free deque specialized for the DFDeques
-   discipline (after Sundell & Tsigas's CAS-only deques and Chase–Lev's
-   owner/thief split; see DESIGN.md §16).
+(* Single-word-CAS lock-free deque, the pool's one deque for both
+   scheduling disciplines (after Sundell & Tsigas's CAS-only deques and
+   Chase–Lev's owner/thief split; see DESIGN.md §16).  A work-stealing
+   worker owns one for the pool's lifetime and never abandons it, which
+   makes it a plain Chase–Lev deque.
 
    The pool's DFDeques paths need three things beyond a plain
-   work-stealing deque, and this module builds them in so the pool can
-   drop its per-deque mutex entirely:
+   work-stealing deque, and this module builds them in so the pool needs
+   no per-deque mutex:
 
    - owner push/pop at the bottom end and thief steals at the top end,
      all arbitrated by single-word CAS (the only blocking left in the
@@ -38,7 +40,8 @@
    bumps an [ops] cell by the number of atomic RMW/store operations it
    actually executed (CAS attempts included, plain loads excluded) — the
    fork/join sync-op metric of Rito & Paulino that the pool aggregates
-   per worker into [Pool.sync_ops]. *)
+   per worker into [counters.sync_ops]; work-stealing paths pass no cell
+   and stay uncounted. *)
 
 module Schedpoint = Schedpoint
 
@@ -111,7 +114,12 @@ let is_dead q =
 (* Owner only: copy [t, b) into a doubled buffer and publish it.  Old
    buffers are never written again, so a thief holding a pre-resize
    buffer still reads the correct value for any index whose CAS it can
-   win. *)
+   win: the owner cannot recycle a physical slot for a new logical index
+   without first growing (a deque of capacity [c] holds at most [c]
+   elements), and a slot is only cleared by whoever won its element —
+   whose CAS that thief would have lost.  The loop walks offsets, not raw
+   indices: near [max_int] the indices wrap while [b - t] stays a small
+   positive count. *)
 let grow ops q b t old =
   let nb = mk_buf (2 * (old.mask + 1)) in
   for off = 0 to b - t - 1 do
@@ -147,7 +155,9 @@ let pop ?ops q =
   bump ops 1;
   Schedpoint.point Schedpoint.lfdeque_pop_reserve;
   (* SC: the [bottom] write above is ordered before this [top] read — the
-     Dekker handshake that funnels the last-element race into the CAS *)
+     Dekker handshake that funnels the last-element race into the CAS: a
+     thief that read the old bottom cannot also read a top that lets both
+     of us take the same element (DESIGN.md §16) *)
   let t = Atomic.get q.top in
   let d = b - t in
   if d < 0 then begin

@@ -162,6 +162,97 @@ let test_tracer_ring () =
   checki "cleared" 0 (Tracer.length tr);
   checki "cleared totals" 0 (Tracer.total tr)
 
+(* Each lane wraps on its own: a busy lane overwrites only its own
+   oldest events, never a quiet lane's. *)
+let test_tracer_capacity_per_lane () =
+  let tr = Tracer.create ~capacity:4 () in
+  for i = 1 to 10 do
+    Tracer.emit tr ~ts:i ~proc:0 ~tid:0 Event.Dummy_exec
+  done;
+  List.iter (fun ts -> Tracer.emit tr ~ts ~proc:1 ~tid:0 Event.Dummy_exec) [ 2; 4 ];
+  Tracer.emit tr ~ts:3 ~proc:(-1) ~tid:0 Event.Dummy_exec;
+  checki "length sums the lanes" 7 (Tracer.length tr);
+  checki "only the busy lane dropped" 6 (Tracer.dropped tr);
+  checki "total" 13 (Tracer.total tr);
+  check
+    Alcotest.(list (pair int int))
+    "quiet lanes intact, busy lane keeps its newest"
+    [ (2, 1); (3, -1); (4, 1); (7, 0); (8, 0); (9, 0); (10, 0) ]
+    (List.map (fun e -> (e.Event.ts, e.Event.proc)) (Tracer.events tr))
+
+(* Per-kind counts live in each lane and are summed when read, across
+   lanes that never emitted too. *)
+let test_tracer_counts_sum_lanes () =
+  let tr = Tracer.create () in
+  List.iter
+    (fun proc -> Tracer.emit tr ~ts:1 ~proc ~tid:0 (Event.Action_batch { units = 1 }))
+    [ 0; 2; 2; -1 ];
+  Tracer.emit tr ~ts:2 ~proc:3 ~tid:0 (Event.Fork { child = 7 });
+  checki "action batches over three lanes" 4
+    (Tracer.count tr (Event.Action_batch { units = 0 }));
+  checki "forks" 1 (Tracer.count tr (Event.Fork { child = 0 }));
+  checki "kinds never emitted count 0" 0 (Tracer.count tr Event.Dummy_exec);
+  let counts = Tracer.counts tr in
+  checki "one entry per kind" Event.n_kinds (List.length counts);
+  checki "counts add up to the total" (Tracer.total tr)
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 counts);
+  checki "named entry" 4
+    (List.assoc (Event.kind_name (Event.Action_batch { units = 0 })) counts)
+
+let test_tracer_clear_all_lanes () =
+  let tr = Tracer.create ~capacity:2 () in
+  List.iter (fun proc -> Tracer.emit tr ~ts:1 ~proc ~tid:0 Event.Dummy_exec) [ 0; 5; 5; 5; -1 ];
+  checki "before clear" 1 (Tracer.dropped tr);
+  Tracer.clear tr;
+  checki "no events" 0 (Tracer.length tr);
+  checki "no drops" 0 (Tracer.dropped tr);
+  checki "no count" 0 (Tracer.count tr Event.Dummy_exec);
+  checkb "empty merge" true (Tracer.events tr = []);
+  (* lanes come back on the next emit *)
+  List.iter (fun proc -> Tracer.emit tr ~ts:2 ~proc ~tid:0 Event.Dummy_exec) [ 5; -1 ];
+  checki "usable after clear" 2 (List.length (Tracer.events tr))
+
+(* Equal stamps order by lane (proc lanes by index, the external lane
+   last) and, within a lane, by arrival. *)
+let test_tracer_equal_stamps () =
+  let tr = Tracer.create () in
+  List.iter
+    (fun (proc, tid) -> Tracer.emit tr ~ts:5 ~proc ~tid Event.Dummy_exec)
+    [ (-1, 0); (1, 0); (0, 0); (1, 1); (0, 1); (-1, 1); (0, 2) ];
+  check
+    Alcotest.(list (pair int int))
+    "(lane, arrival)"
+    [ (0, 0); (0, 1); (0, 2); (1, 0); (1, 1); (-1, 0); (-1, 1) ]
+    (List.map (fun e -> (e.Event.proc, e.Event.tid)) (Tracer.events tr))
+
+(* Lanes appear on first emit by extending the lane table with a CAS.
+   Writers that create lanes at the same time, each on procs of its own,
+   must keep every lane and every event: a lost extension would drop a
+   lane, a replaced lane record would lose the events written into it. *)
+let test_tracer_concurrent_lanes () =
+  let tr = Tracer.create () in
+  let writers = 3 and lanes_each = 300 and n = 10 in
+  let write k () =
+    for j = 0 to lanes_each - 1 do
+      let proc = (j * writers) + k in
+      for i = 1 to n do
+        Tracer.emit tr ~ts:i ~proc ~tid:k Event.Dummy_exec
+      done
+    done
+  in
+  let ds = List.init (writers - 1) (fun k -> Domain.spawn (write (k + 1))) in
+  write 0 ();
+  List.iter Domain.join ds;
+  let expect = writers * lanes_each * n in
+  checki "every event counted" expect (Tracer.total tr);
+  let evs = Tracer.events tr in
+  checki "every event retained" expect (List.length evs);
+  let per_proc = Array.make (writers * lanes_each) 0 in
+  List.iter (fun e -> per_proc.(e.Event.proc) <- per_proc.(e.Event.proc) + 1) evs;
+  checkb "every lane holds its writer's events" true (Array.for_all (( = ) n) per_proc);
+  checkb "no lane holds another writer's events" true
+    (List.for_all (fun e -> e.Event.proc mod writers = e.Event.tid) evs)
+
 (* ------------------------------------------------------------------ *)
 (* Engine determinism at event granularity                             *)
 (* ------------------------------------------------------------------ *)
@@ -269,6 +360,12 @@ let () =
         [
           Alcotest.test_case "disabled is inert" `Quick test_tracer_disabled;
           Alcotest.test_case "ring overflow" `Quick test_tracer_ring;
+          Alcotest.test_case "capacity is per lane" `Quick test_tracer_capacity_per_lane;
+          Alcotest.test_case "counts sum across lanes" `Quick test_tracer_counts_sum_lanes;
+          Alcotest.test_case "clear empties every lane" `Quick test_tracer_clear_all_lanes;
+          Alcotest.test_case "equal stamps: lane, then arrival" `Quick test_tracer_equal_stamps;
+          Alcotest.test_case "concurrent lane creation loses nothing" `Quick
+            test_tracer_concurrent_lanes;
         ] );
       ( "engine",
         [

@@ -14,8 +14,8 @@ module Scenarios = Dfd_check.Scenarios
 
 (* Every scenario, the deliberately buggy ones first. *)
 let catalogue =
-  Scenarios.lfdeque_buggy :: Scenarios.multiq_buggy :: Scenarios.park_buggy
-  :: Scenarios.all
+  Scenarios.lfdeque_buggy :: Scenarios.lfdeque_publish_buggy :: Scenarios.multiq_buggy
+  :: Scenarios.park_buggy :: Scenarios.all
 
 let list_scenarios () =
   List.iter

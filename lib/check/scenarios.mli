@@ -63,6 +63,11 @@ val lfdeque_buggy : Explore.scenario
 (** Drives {!Buggy_lfdeque} (check-then-store steal commit); the explorer
     is expected to {e fail} this one.  Excluded from {!all}. *)
 
+val lfdeque_publish_buggy : Explore.scenario
+(** Drives {!Buggy_lfdeque} with its publish-first push ([bottom] stored
+    before the cell) against a stealing thief; the explorer is expected
+    to {e fail} this one with a lost element.  Excluded from {!all}. *)
+
 val park : Explore.scenario
 (** The native pool's park/wake handshake: a pusher (publish, then read
     the parked count) against a parker (announce, then scan); a parker

@@ -37,7 +37,8 @@
 
     Fork-join is work-first: {!fork_join} pushes the left branch and runs
     the right inline; on return it pops the left branch back if nobody
-    stole it (the fast path runs both branches with zero synchronisation),
+    stole it and runs it inline (the fast path costs two SC stores — the
+    deque's [bottom] publish and reservation — and no promise write),
     otherwise it helps execute other tasks until the thief finishes.
     Exceptions propagate to the joining parent.
 
@@ -159,7 +160,13 @@ val fork_join : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** Run the two thunks in parallel, returning both results.  Must be
     called from inside {!run}.  The left thunk is the forked child (it is
     what thieves steal), the right runs in the current task — matching the
-    paper's fork semantics. *)
+    paper's fork semantics.
+
+    Exceptions: the left thunk is always joined before the call returns
+    or raises.  If it raises, the exception reaches the caller and counts
+    once in [counters.task_exns] (with a [Fault_injected "task_exn"]
+    event), whether it ran inline or on a thief.  If both thunks raise,
+    the left thunk's exception wins. *)
 
 val parallel_for : lo:int -> hi:int -> (int -> unit) -> unit
 (** Binary fork-join tree over [lo, hi) — the standard nested-parallel

@@ -4,7 +4,9 @@
    pool's hot paths) calls [point id] at the instants where an
    adversarial scheduler could preempt it.  In production no handler is
    installed and a point is a single sequentially-consistent load of
-   [None] — no allocation, no branch beyond the match.  The checker (lib/check) installs a handler
+   [None] — no allocation, no branch beyond the match.  [point] is
+   [@inline], so ocamlopt (flambda or not) inlines it across modules and
+   the load is all a point costs: no call.  The checker (lib/check) installs a handler
    for the duration of an exploration run; the handler itself decides
    whether the calling thread is one of the controlled threads (via
    domain-local state) and blocks it until the explorer schedules it. *)
@@ -17,7 +19,7 @@ let uninstall () = Atomic.set handler None
 
 let active () = Atomic.get handler <> None
 
-let point id = match Atomic.get handler with None -> () | Some f -> f id
+let[@inline] point id = match Atomic.get handler with None -> () | Some f -> f id
 
 (* Yield-point ids: contiguous small ints from 0, in [names] order, so
    the checker can walk them; replay files record points by [name]. *)

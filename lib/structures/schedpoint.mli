@@ -4,8 +4,9 @@
     adversarial scheduler could preempt it: between the individual atomic
     operations of the lock-free deque and R-list, at the native pool's
     task-transfer boundaries.  With no handler installed (production, and every test
-    that is not a checker run) a point costs one atomic load and does
-    nothing — the hook is a no-op unless checking is enabled.
+    that is not a checker run) a point is inlined into its caller and
+    costs one atomic load — the hook is a no-op unless checking is
+    enabled.
 
     The checker ({!module:Dfd_check.Explore}) installs a process-global
     handler around an exploration run.  The handler receives the point id

@@ -27,6 +27,11 @@ let checki = Alcotest.(check int)
    the test stays fast even with shrinking replays on top. *)
 let buggy_seed = 5
 
+let contains_substring hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let test_buggy_caught () =
   let r = Explore.run ~seed:buggy_seed Scenarios.buggy in
   match r.Explore.r_failure with
@@ -139,6 +144,35 @@ let test_lfdeque_buggy_caught () =
     let serial = { f with Explore.f_choices = []; f_points = [] } in
     checkb "serial fallback schedule passes" true (Explore.replay sc serial = None)
 
+(* The plain-cell publication order's negative control: a push that
+   stores [bottom] before it writes the cell lets a thief win an index
+   whose slot is still empty.  Found, shrunk, reproducible through a
+   replay file, with the element lost; the serial schedule (all pushes,
+   then the steals) passes. *)
+let test_lfdeque_publish_buggy_caught () =
+  let sc = Option.get (Scenarios.find "lfdeque_publish_buggy") in
+  let r = Explore.run ~seed:buggy_seed sc in
+  match r.Explore.r_failure with
+  | None -> Alcotest.fail "explorer missed the publish-before-write push"
+  | Some f ->
+    checkb "found within default budget" true (r.Explore.r_iterations <= r.Explore.r_budget);
+    checkb "shrunk" true f.Explore.f_shrunk;
+    checkb "minimal trace nonempty" true (f.Explore.f_choices <> []);
+    checkb "minimal trace short" true (List.length f.Explore.f_choices <= 16);
+    checkb "a lost element is the reason" true (contains_substring f.Explore.f_reason "lost=");
+    checkb "window point on the trace" true
+      (List.mem "lfdeque_push_publish" f.Explore.f_points);
+    let path = Filename.temp_file "replay_lfdeque_publish" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Explore.write_replay path f;
+        let f' = Explore.read_replay path in
+        checkb "replay file roundtrips" true (f = f');
+        checkb "replay from file reproduces" true (Explore.replay sc f' <> None));
+    let serial = { f with Explore.f_choices = []; f_points = [] } in
+    checkb "serial fallback schedule passes" true (Explore.replay sc serial = None)
+
 (* The planted lost wake-up (park decision that scans before it
    announces): found, shrunk, reproducible through a replay file; the
    serial schedule (pusher first, then the parker, which finds the task)
@@ -231,11 +265,6 @@ let test_point_ids_distinct () =
   List.iteri
     (fun i n -> checkb (n ^ " roundtrips through of_name") true (Schedpoint.of_name n = Some i))
     names
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 (* Every yield point must appear, by name, in DESIGN.md's yield-point
    map — a rename or an undocumented addition fails here. *)
@@ -452,6 +481,8 @@ let () =
             test_multiq_buggy_caught;
           Alcotest.test_case "lfdeque steal-commit race caught and shrunk" `Quick
             test_lfdeque_buggy_caught;
+          Alcotest.test_case "lfdeque publish-before-write caught and shrunk" `Quick
+            test_lfdeque_publish_buggy_caught;
           Alcotest.test_case "park lost wake-up caught and shrunk" `Quick
             test_park_buggy_caught;
           Alcotest.test_case "correct scenarios pass" `Quick test_correct_scenarios_pass;

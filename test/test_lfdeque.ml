@@ -69,6 +69,76 @@ let test_interleaved_push_pop () =
   in
   checkb "pop order strictly decreasing" true (drain max_int)
 
+(* Cells hold elements unboxed, with a private block marking an empty
+   slot: values that look like "nothing" — immediates such as [0], [()]
+   and [false], and one block pushed twice — must each come back, and the
+   marker must never come out.  Each run starts two below [max_int] in a
+   2-slot buffer, so the pushes grow it across the index wraparound, and
+   the values go out through steal, pop, [pop_exact] and a mixed drain,
+   then again after a refill over the cleared slots.  Identity is
+   physical: the marker is a block, so it equals none of these. *)
+let sentinel_roundtrip name xs =
+  let q = Lfdeque.create_at ~min_capacity:2 ~owner:0 ~index:(max_int - 2) () in
+  let n = List.length xs in
+  let pushed v = List.exists (fun x -> x == v) xs in
+  let round () =
+    List.iter (Lfdeque.push q) xs;
+    checkb (name ^ " buffer grew") true (Lfdeque.capacity q >= n);
+    let got = ref [] in
+    let keep what = function
+      | Some v -> got := v :: !got
+      | None -> Alcotest.failf "%s: %s came back empty" name what
+    in
+    keep "steal" (Lfdeque.steal q);
+    keep "pop" (Lfdeque.pop q);
+    let top = List.nth xs (n - 2) in
+    checkb (name ^ " pop_exact finds the top") true (Lfdeque.pop_exact q top);
+    got := top :: !got;
+    let rec drain i =
+      match if i mod 2 = 0 then Lfdeque.steal q else Lfdeque.pop q with
+      | Some v ->
+        got := v :: !got;
+        drain (i + 1)
+      | None -> ()
+    in
+    drain 0;
+    checki (name ^ " every value came back") n (List.length !got);
+    checkb (name ^ " nothing but pushed values") true (List.for_all pushed !got);
+    checkb (name ^ " empty pop") true (Lfdeque.pop q = None);
+    checkb (name ^ " empty steal") true (Lfdeque.steal q = None);
+    checkb (name ^ " empty pop_exact") false (Lfdeque.pop_exact q (List.hd xs))
+  in
+  round ();
+  round ()
+
+let test_sentinel_never_escapes () =
+  sentinel_roundtrip "int 0" [ 0; 0; 0; 0; 0 ];
+  sentinel_roundtrip "unit" [ (); (); (); () ];
+  sentinel_roundtrip "false" [ false; false; false ];
+  let blk = ref 7 in
+  sentinel_roundtrip "shared block" [ blk; blk; ref 8 ];
+  (* a block that is not on top is pushed back, not lost *)
+  let q = Lfdeque.create ~owner:0 () in
+  Lfdeque.push q blk;
+  checkb "pop_exact of another block" false (Lfdeque.pop_exact q (ref 7));
+  checki "pushed back" 1 (Lfdeque.length q);
+  checkb "same block still there" true
+    (match Lfdeque.pop q with Some v -> v == blk | None -> false)
+
+(* The fork path's deque work allocates nothing: an owner push followed
+   by the [pop_exact] that takes it back, with a sync-op cell. *)
+let test_push_pop_exact_allocation_free () =
+  let q = Lfdeque.create ~owner:0 () in
+  let ops = Some (ref 0) in
+  let task = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Lfdeque.push ?ops q task;
+    if not (Lfdeque.pop_exact ?ops q task) then Alcotest.fail "pop_exact missed the push"
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 64. then Alcotest.failf "10000 push/pop_exact pairs allocated %.0f words" words
+
 (* ------------------------------------------------------------------ *)
 (* Ownership lifecycle                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -96,16 +166,23 @@ let test_ops_accounting () =
   let ops = ref 0 in
   let q = Lfdeque.create ~owner:0 () in
   Lfdeque.push ~ops q 1;
-  checkb "push counts sync ops" true (!ops >= 2);
-  let after_push = !ops in
+  (* the plain cell write is free; the [bottom] publish is one store *)
+  checki "push counts its bottom publish" 1 !ops;
+  Lfdeque.push ~ops q 2;
+  ignore (Lfdeque.pop ~ops q);
+  (* two elements: the pop is its [bottom] reservation alone *)
+  checki "uncontended pop counts its reservation" 3 !ops;
+  checkb "pop_exact finds the push" true (Lfdeque.pop_exact ~ops q 1);
+  (* last element: reservation, CAS, bottom restore *)
+  checki "last-element pop counts reserve, CAS, restore" 6 !ops;
+  Lfdeque.push ~ops q 3;
   ignore (Lfdeque.steal ~ops q);
-  checkb "steal counts its CAS" true (!ops > after_push);
-  let after_steal = !ops in
+  checki "steal counts its CAS" 8 !ops;
   ignore (Lfdeque.pop ~ops q);
   (* empty pop still reserves and restores: two stores *)
-  checkb "empty pop counts the reserve/restore" true (!ops >= after_steal + 2);
+  checki "empty pop counts the reserve/restore" 10 !ops;
   Lfdeque.abandon ~ops q;
-  checkb "abandon counts its store" true (!ops >= after_steal + 3)
+  checki "abandon counts its store" 11 !ops
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent multiset property (one owner, roaming thieves)           *)
@@ -387,6 +464,9 @@ let () =
           Alcotest.test_case "thief FIFO" `Quick test_fifo_steal;
           Alcotest.test_case "resize" `Quick test_resize_sequential;
           Alcotest.test_case "wraparound churn" `Quick test_interleaved_push_pop;
+          Alcotest.test_case "sentinel never escapes" `Quick test_sentinel_never_escapes;
+          Alcotest.test_case "push + pop_exact allocation-free" `Quick
+            test_push_pop_exact_allocation_free;
         ] );
       ( "ownership",
         [
